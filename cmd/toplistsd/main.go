@@ -31,8 +31,6 @@
 //	-autocheckpoint write a checkpoint generation every N advanced days
 //	                (and on the final day; 0 = only manual/shutdown)
 //	-retain         checkpoint generations to keep (default 5)
-//	-restore        resume from this single snapshot FILE instead of
-//	                recovering from the -checkpoint directory
 //	-readyfile      write the bound HTTP address to this file once
 //	                serving (for harnesses using -addr localhost:0)
 //	-trace          write a Chrome trace_event JSON timeline (tick
@@ -119,7 +117,6 @@ func main() {
 		ckptPath   = flag.String("checkpoint", "", "checkpoint directory for generations, recovery, and shutdown")
 		autoCkpt   = flag.Int("autocheckpoint", 0, "write a checkpoint generation every N advanced days (0 = off)")
 		retain     = flag.Int("retain", 5, "checkpoint generations to keep")
-		restore    = flag.String("restore", "", "resume from this snapshot file (bypasses directory recovery)")
 		readyFile  = flag.String("readyfile", "", "write the bound HTTP address here once serving")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON run timeline here on shutdown")
 		debugAddr  = flag.String("debugaddr", "", "serve /metrics and /debug/pprof/ on this address")
@@ -180,7 +177,6 @@ func main() {
 		seed: *seed, sites: *sites, clients: *clients, days: *days,
 		workers: *workers, vantages: *vantages, backends: *backends,
 		allCombos: *allCombos, sketch: *sketchMode, faultRate: *faultRate,
-		restore: *restore,
 	}, ckptDir, reg, log)
 	if err != nil {
 		log.Errorf("toplistsd: %v", err)
@@ -280,29 +276,14 @@ type studyFlags struct {
 	workers, vantages, backends int
 	allCombos, sketch           bool
 	faultRate                   float64
-	restore                     string
 }
 
-// openStudy builds the resident study: an explicit -restore file wins,
-// then recovery from the checkpoint directory's newest intact
-// generation, then a fresh day-zero study. Recovery failure other than
-// "nothing there yet" is fatal on purpose: generations existed and none
-// restored, and silently starting over would discard the month.
+// openStudy builds the resident study: recovery from the checkpoint
+// directory's newest intact generation, else a fresh day-zero study.
+// Recovery failure other than "nothing there yet" is fatal on purpose:
+// generations existed and none restored, and silently starting over
+// would discard the month.
 func openStudy(f studyFlags, ckptDir *snapshot.Dir, reg *obs.Registry, log *obs.Logger) (*core.Study, error) {
-	if f.restore != "" {
-		file, err := os.Open(f.restore)
-		if err != nil {
-			return nil, err
-		}
-		defer file.Close()
-		study, err := core.Resume(file, core.ResumeOptions{Workers: f.workers, Obs: reg})
-		if err != nil {
-			return nil, err
-		}
-		log.Infof("restored %s at day %d/%d", f.restore, study.Day(), study.Cfg.Days)
-		return study, nil
-	}
-
 	if ckptDir != nil {
 		rec, err := core.Recover(ckptDir, core.ResumeOptions{Workers: f.workers, Obs: reg}, log)
 		switch {

@@ -404,10 +404,11 @@ type rankingsResponse struct {
 }
 
 // handleRankings serves the top k of one list for one advanced day
-// (default: the most recent). k=0 serves the full list. With a ?vantage=
-// or ?backend= parameter the path names a Cloudflare metric key instead
-// of a list, and the response is that (vantage, backend) edge pipeline's
-// view of the metric; an unknown metric, vantage, or backend is 404.
+// (default: the most recent). k=0 serves the full list; a negative k is
+// 400. With a ?vantage= or ?backend= parameter the path names a
+// Cloudflare metric key instead of a list, and the response is that
+// (vantage, backend) edge pipeline's view of the metric; an unknown
+// metric, vantage, or backend is 404.
 func (s *server) handleRankings(w http.ResponseWriter, r *http.Request) {
 	list := r.PathValue("list")
 	day, ok := queryInt(w, r, "day", s.study.Day()-1)
@@ -416,6 +417,10 @@ func (s *server) handleRankings(w http.ResponseWriter, r *http.Request) {
 	}
 	k, ok := queryInt(w, r, "k", 100)
 	if !ok {
+		return
+	}
+	if k < 0 {
+		writeErr(w, http.StatusBadRequest, "k must be >= 0, got %d", k)
 		return
 	}
 	if vantage, backend := r.URL.Query().Get("vantage"), r.URL.Query().Get("backend"); vantage != "" || backend != "" {
@@ -535,28 +540,30 @@ func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 // topKDiff reports the names that entered and left the top k between two
-// rankings (in rank order) and the Jaccard similarity of the cuts.
+// rankings (in rank order) and the Jaccard similarity of the cuts. Set
+// membership is a rank lookup (rank <= k) in the other ranking, so a
+// caller-chosen k costs no per-k state on either ranking.
 func topKDiff(from, to *rank.Ranking, k int) (entered, left []string, jaccard float64) {
-	fromSet := from.TopSet(k)
-	toSet := to.TopSet(k)
+	inTop := func(r *rank.Ranking, name string) bool {
+		i, ok := r.RankOf(name)
+		return ok && i <= k
+	}
+	nFrom, nTo := min(k, from.Len()), min(k, to.Len())
 	entered, left = []string{}, []string{}
 	inter := 0
-	for i := 1; i <= to.Len() && i <= k; i++ {
-		name := to.At(i)
-		if _, ok := fromSet[name]; ok {
+	for i := 1; i <= nTo; i++ {
+		if name := to.At(i); inTop(from, name) {
 			inter++
 		} else {
 			entered = append(entered, name)
 		}
 	}
-	for i := 1; i <= from.Len() && i <= k; i++ {
-		name := from.At(i)
-		if _, ok := toSet[name]; !ok {
+	for i := 1; i <= nFrom; i++ {
+		if name := from.At(i); !inTop(to, name) {
 			left = append(left, name)
 		}
 	}
-	union := len(fromSet) + len(toSet) - inter
-	if union > 0 {
+	if union := nFrom + nTo - inter; union > 0 {
 		jaccard = float64(inter) / float64(union)
 	}
 	return entered, left, jaccard

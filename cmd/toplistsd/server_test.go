@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"toplists/internal/core"
+	"toplists/internal/rank"
 	"toplists/internal/snapshot"
 )
 
@@ -114,7 +115,9 @@ func TestServerSmoke(t *testing.T) {
 	// Bad requests answer 4xx, not 500.
 	do(t, "GET", ts.URL+"/v1/rankings/NoSuchList", 404)
 	do(t, "GET", ts.URL+"/v1/rankings/Alexa?day=99", 400)
+	do(t, "GET", ts.URL+"/v1/rankings/Alexa?k=-1", 400)
 	do(t, "GET", ts.URL+"/v1/diff?list=Alexa&k=0", 400)
+	do(t, "GET", ts.URL+"/v1/diff?list=Alexa&k=-1", 400)
 	do(t, "GET", ts.URL+"/v1/diff", 400)
 	do(t, "POST", ts.URL+"/v1/advance?days=bogus", 400)
 
@@ -531,6 +534,7 @@ func TestServerEdgeRankings(t *testing.T) {
 	do(t, "GET", ts.URL+"/v1/rankings/all-requests?vantage=global&backend=akamai", 404)
 	do(t, "GET", ts.URL+"/v1/rankings/all-requests?vantage=global&day=2", 404)
 	do(t, "GET", ts.URL+"/v1/rankings/all-requests?vantage=global&day=99", 400)
+	do(t, "GET", ts.URL+"/v1/rankings/all-requests?vantage=global&k=-1", 400)
 }
 
 func TestServerEdgeRankingsSingleEdge(t *testing.T) {
@@ -550,4 +554,41 @@ func TestServerEdgeRankingsSingleEdge(t *testing.T) {
 	do(t, "GET", ts.URL+"/v1/rankings/all-requests?vantage=global", 200)
 	do(t, "GET", ts.URL+"/v1/rankings/all-requests?vantage=us-east", 404)
 	do(t, "GET", ts.URL+"/v1/rankings/all-requests?backend=edgecast", 404)
+}
+
+// TestTopKDiffMatchesSetDifference checks topKDiff against brute-force set
+// arithmetic over the two top-k cuts, for every k from 1 to one past the
+// longer ranking, on rankings of different lengths with partial overlap.
+func TestTopKDiffMatchesSetDifference(t *testing.T) {
+	from := rank.MustNew([]string{"a", "b", "c", "d", "e", "f", "g"})
+	to := rank.MustNew([]string{"c", "x", "a", "y", "g", "b", "z", "q", "d"})
+	cut := func(r *rank.Ranking, k int) map[string]bool {
+		set := make(map[string]bool)
+		for i := 1; i <= min(k, r.Len()); i++ {
+			set[r.At(i)] = true
+		}
+		return set
+	}
+	for k := 1; k <= max(from.Len(), to.Len())+1; k++ {
+		fromSet, toSet := cut(from, k), cut(to, k)
+		var wantEntered, wantLeft []string
+		for i := 1; i <= min(k, to.Len()); i++ {
+			if !fromSet[to.At(i)] {
+				wantEntered = append(wantEntered, to.At(i))
+			}
+		}
+		for i := 1; i <= min(k, from.Len()); i++ {
+			if !toSet[from.At(i)] {
+				wantLeft = append(wantLeft, from.At(i))
+			}
+		}
+		inter := len(toSet) - len(wantEntered)
+		wantJaccard := float64(inter) / float64(len(fromSet)+len(toSet)-inter)
+
+		entered, left, jaccard := topKDiff(from, to, k)
+		if fmt.Sprint(entered) != fmt.Sprint(wantEntered) || fmt.Sprint(left) != fmt.Sprint(wantLeft) || jaccard != wantJaccard {
+			t.Errorf("k=%d: entered %v left %v jaccard %v, want %v %v %v",
+				k, entered, left, jaccard, wantEntered, wantLeft, wantJaccard)
+		}
+	}
 }

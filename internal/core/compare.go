@@ -66,47 +66,14 @@ type ListVsMetric struct {
 }
 
 // EvalListVsMetric runs the Section 4.3 comparison. bucketed disables the
-// Spearman computation (CrUX).
-func EvalListVsMetric(list *rank.Ranking, cfSet map[string]struct{}, cf *rank.Ranking, k int, bucketed bool) ListVsMetric {
-	top := list.Top(k)
-	cfOnly := top.Filter(func(name string) bool {
-		_, ok := cfSet[name]
-		return ok
-	})
-	n := cfOnly.Len()
-	res := ListVsMetric{N: n}
-	if n == 0 {
-		return res
-	}
-	cfTop := cf.Top(n)
-	res.Jaccard = stats.Jaccard(cfOnly.TopSet(n), cfTop.TopSet(n))
-
-	if bucketed {
-		return res
-	}
-	var xs, ys []float64
-	for i := 1; i <= n; i++ {
-		name := cfOnly.At(i)
-		if r, ok := cfTop.RankOf(name); ok {
-			xs = append(xs, float64(i))
-			ys = append(ys, float64(r))
-		}
-	}
-	if rs, err := stats.Spearman(xs, ys); err == nil {
-		res.Spearman = rs
-		res.SpearmanOK = true
-	}
-	return res
-}
-
-// EvalListVsMetricIDs is the interned-evaluation form of EvalListVsMetric:
-// cfSet is the probed Cloudflare set as a bitset over the study's name
-// table (Artifacts.CFDomainIDs). Both rankings must be ranked over that
-// same table — the experiment runners only pass study-owned artifacts, so
-// a mismatch is an internal invariant violation, not an input error.
-func EvalListVsMetricIDs(list *rank.Ranking, cfSet *names.Set, cf *rank.Ranking, k int, bucketed bool) ListVsMetric {
+// Spearman computation (CrUX). cfSet is the probed Cloudflare set as a
+// bitset over the study's name table (Artifacts.CFDomainIDs). Both
+// rankings must be ranked over that same table — the experiment runners
+// only pass study-owned artifacts, so a mismatch is an internal invariant
+// violation, not an input error.
+func EvalListVsMetric(list *rank.Ranking, cfSet *names.Set, cf *rank.Ranking, k int, bucketed bool) ListVsMetric {
 	if list.Table() != cf.Table() {
-		panic("core: EvalListVsMetricIDs rankings use different name tables")
+		panic("core: EvalListVsMetric rankings use different name tables")
 	}
 	cfOnly := list.Top(k).FilterIDs(cfSet.Contains)
 	n := cfOnly.Len()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"toplists/internal/cfmetrics"
+	"toplists/internal/names"
 	"toplists/internal/rank"
 	"toplists/internal/world"
 )
@@ -21,6 +22,19 @@ func getStudy(t testing.TB) *Study {
 		sharedStudy.Run()
 	}
 	return sharedStudy
+}
+
+// idOf interns name into the shared table that rank.MustNew rankings use,
+// so test fixtures can key ID-based evaluation inputs.
+func idOf(name string) names.ID { return rank.MustNew(nil).Table().Intern(name) }
+
+// idSet is the set of the given names' IDs in that shared table.
+func idSet(ns ...string) *names.Set {
+	ids := make([]names.ID, len(ns))
+	for i, n := range ns {
+		ids[i] = idOf(n)
+	}
+	return names.NewSet(ids)
 }
 
 func TestStudyWiring(t *testing.T) {
@@ -93,9 +107,7 @@ func TestSpearmanTopK(t *testing.T) {
 func TestEvalListVsMetricPerfectList(t *testing.T) {
 	// A list identical to the CF metric must score Jaccard 1, Spearman 1.
 	cf := rank.MustNew([]string{"a.com", "b.com", "c.com", "d.com"})
-	cfSet := map[string]struct{}{
-		"a.com": {}, "b.com": {}, "c.com": {}, "d.com": {},
-	}
+	cfSet := idSet("a.com", "b.com", "c.com", "d.com")
 	res := EvalListVsMetric(cf, cfSet, cf, 4, false)
 	if res.N != 4 || res.Jaccard != 1 || !res.SpearmanOK || math.Abs(res.Spearman-1) > 1e-12 {
 		t.Errorf("res = %+v", res)
@@ -104,7 +116,7 @@ func TestEvalListVsMetricPerfectList(t *testing.T) {
 
 func TestEvalListVsMetricFiltersNonCF(t *testing.T) {
 	cf := rank.MustNew([]string{"a.com", "b.com"})
-	cfSet := map[string]struct{}{"a.com": {}, "b.com": {}}
+	cfSet := idSet("a.com", "b.com")
 	list := rank.MustNew([]string{"x.com", "a.com", "y.com", "b.com"})
 	res := EvalListVsMetric(list, cfSet, cf, 4, false)
 	if res.N != 2 {
@@ -117,7 +129,7 @@ func TestEvalListVsMetricFiltersNonCF(t *testing.T) {
 
 func TestEvalListVsMetricBucketed(t *testing.T) {
 	cf := rank.MustNew([]string{"a.com", "b.com"})
-	cfSet := map[string]struct{}{"a.com": {}, "b.com": {}}
+	cfSet := idSet("a.com", "b.com")
 	res := EvalListVsMetric(cf, cfSet, cf, 2, true)
 	if res.SpearmanOK {
 		t.Error("bucketed list must not get a Spearman value")
@@ -130,7 +142,7 @@ func TestEvalListVsMetricBucketed(t *testing.T) {
 func TestEvalListVsMetricEmpty(t *testing.T) {
 	cf := rank.MustNew([]string{"a.com"})
 	list := rank.MustNew([]string{"x.com"})
-	res := EvalListVsMetric(list, map[string]struct{}{"a.com": {}}, cf, 1, false)
+	res := EvalListVsMetric(list, idSet("a.com"), cf, 1, false)
 	if res.N != 0 || res.Jaccard != 0 || res.SpearmanOK {
 		t.Errorf("res = %+v", res)
 	}
@@ -170,21 +182,21 @@ func TestAgreedBuckets(t *testing.T) {
 	m3 := rank.MustNew([]string{"b", "a", "e", "c", "d", "f"})
 	agreed := AgreedBuckets(m1, m3, bk)
 	// a: m1 rank1 (bucket0), m3 rank2 (bucket0) -> agreed bucket0.
-	if b, ok := agreed["a"]; !ok || b != rank.Bucket1K {
+	if b, ok := agreed[idOf("a")]; !ok || b != rank.Bucket1K {
 		t.Errorf("a: %v %v", b, ok)
 	}
 	// e: m1 rank5 (bucket2), m3 rank3 (bucket1) -> disagree.
-	if _, ok := agreed["e"]; ok {
+	if _, ok := agreed[idOf("e")]; ok {
 		t.Error("e should disagree")
 	}
 }
 
 func TestComputeMovementAndOverrank(t *testing.T) {
 	bk := rank.Bucketer{Magnitudes: [4]int{2, 4, 8, 16}}
-	agreed := map[string]rank.Bucket{
-		"a": rank.Bucket1K,  // CF says head
-		"b": rank.Bucket10K, // CF says 2nd bucket
-		"c": rank.Bucket1M,  // CF says 4th bucket
+	agreed := map[names.ID]rank.Bucket{
+		idOf("a"): rank.Bucket1K,  // CF says head
+		idOf("b"): rank.Bucket10K, // CF says 2nd bucket
+		idOf("c"): rank.Bucket1M,  // CF says 4th bucket
 	}
 	// List ranks: a at 1 (bucket0: correct), c at 2 (bucket0: overranked
 	// by 3), b missing (underranked to beyond).

@@ -9,32 +9,11 @@ import (
 // place into the same rank-magnitude bucket, with that bucket — the
 // consensus baseline of Section 5.3 ("we restrict our analysis to the set
 // of domains that two metrics that bookend pageloads ... both place into a
-// given bucket").
-func AgreedBuckets(m1, m3 *rank.Ranking, bk rank.Bucketer) map[string]rank.Bucket {
-	out := make(map[string]rank.Bucket)
-	for i := 1; i <= m1.Len(); i++ {
-		name := m1.At(i)
-		b1 := bk.BucketOf(i)
-		if b1 == rank.BucketBeyond {
-			continue
-		}
-		r3, ok := m3.RankOf(name)
-		if !ok {
-			continue
-		}
-		if bk.BucketOf(r3) == b1 {
-			out[name] = b1
-		}
-	}
-	return out
-}
-
-// AgreedBucketsIDs is the interned form of AgreedBuckets, keyed by ID on
-// the rankings' shared name table. Both rankings must be ranked over the
-// same table.
-func AgreedBucketsIDs(m1, m3 *rank.Ranking, bk rank.Bucketer) map[names.ID]rank.Bucket {
+// given bucket"). The set is keyed by ID on the rankings' shared name
+// table; both rankings must be ranked over that same table.
+func AgreedBuckets(m1, m3 *rank.Ranking, bk rank.Bucketer) map[names.ID]rank.Bucket {
 	if m1.Table() != m3.Table() {
-		panic("core: AgreedBucketsIDs rankings use different name tables")
+		panic("core: AgreedBuckets rankings use different name tables")
 	}
 	out := make(map[names.ID]rank.Bucket)
 	for i := 1; i <= m1.Len(); i++ {
@@ -67,22 +46,9 @@ type Movement struct {
 // ComputeMovement builds the flow between the agreed Cloudflare buckets and
 // a (normalized) top list. Only domains present in the agreed set are
 // considered, matching "we only consider movement of domains that are
-// Cloudflare operated".
-func ComputeMovement(agreed map[string]rank.Bucket, list *rank.Ranking, bk rank.Bucketer) Movement {
-	m := Movement{Bucketer: bk}
-	for name, cfB := range agreed {
-		listB := rank.BucketBeyond
-		if r, ok := list.RankOf(name); ok {
-			listB = bk.BucketOf(r)
-		}
-		m.Matrix[cfB][listB]++
-	}
-	return m
-}
-
-// ComputeMovementIDs is the interned form of ComputeMovement. The list
-// must be ranked over the table the agreed set was built on.
-func ComputeMovementIDs(agreed map[names.ID]rank.Bucket, list *rank.Ranking, bk rank.Bucketer) Movement {
+// Cloudflare operated". The list must be ranked over the table the agreed
+// set was built on.
+func ComputeMovement(agreed map[names.ID]rank.Bucket, list *rank.Ranking, bk rank.Bucketer) Movement {
 	m := Movement{Bucketer: bk}
 	for id, cfB := range agreed {
 		listB := rank.BucketBeyond
@@ -109,37 +75,9 @@ type OverrankStats struct {
 	Overranked2Pct float64
 }
 
-// ComputeOverrank computes OverrankStats for a list prefix.
-func ComputeOverrank(agreed map[string]rank.Bucket, list *rank.Ranking, bk rank.Bucketer, topIdx int) OverrankStats {
-	limit := bk.Magnitudes[topIdx]
-	var st OverrankStats
-	var over, over2 int
-	top := list.Top(limit)
-	for i := 1; i <= top.Len(); i++ {
-		name := top.At(i)
-		cfB, ok := agreed[name]
-		if !ok {
-			continue
-		}
-		st.N++
-		listB := bk.BucketOf(i)
-		if cfB > listB {
-			over++
-			if int(cfB)-int(listB) >= 2 {
-				over2++
-			}
-		}
-	}
-	if st.N > 0 {
-		st.OverrankedPct = 100 * float64(over) / float64(st.N)
-		st.Overranked2Pct = 100 * float64(over2) / float64(st.N)
-	}
-	return st
-}
-
-// ComputeOverrankIDs is the interned form of ComputeOverrank. The list
-// must be ranked over the table the agreed set was built on.
-func ComputeOverrankIDs(agreed map[names.ID]rank.Bucket, list *rank.Ranking, bk rank.Bucketer, topIdx int) OverrankStats {
+// ComputeOverrank computes OverrankStats for a list prefix. The list must
+// be ranked over the table the agreed set was built on.
+func ComputeOverrank(agreed map[names.ID]rank.Bucket, list *rank.Ranking, bk rank.Bucketer, topIdx int) OverrankStats {
 	limit := bk.Magnitudes[topIdx]
 	var st OverrankStats
 	var over, over2 int

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"toplists/internal/names"
 	"toplists/internal/rank"
 	"toplists/internal/simrand"
 )
@@ -17,19 +18,19 @@ func TestMovementConservation(t *testing.T) {
 		n := int(nRaw%60) + 5
 		bk := rank.ScaledMagnitudes(n * 10)
 
-		names := make([]string, n)
-		for i := range names {
-			names[i] = fmt.Sprintf("site%d.com", i)
+		doms := make([]string, n)
+		for i := range doms {
+			doms[i] = fmt.Sprintf("site%d.com", i)
 		}
-		agreed := make(map[string]rank.Bucket)
-		for _, name := range names {
+		agreed := make(map[names.ID]rank.Bucket)
+		for _, name := range doms {
 			if src.Bernoulli(0.7) {
-				agreed[name] = rank.Bucket(src.Intn(4))
+				agreed[idOf(name)] = rank.Bucket(src.Intn(4))
 			}
 		}
 		// A random sublist as the top list.
 		var listNames []string
-		for _, name := range names {
+		for _, name := range doms {
 			if src.Bernoulli(0.5) {
 				listNames = append(listNames, name)
 			}
@@ -61,13 +62,13 @@ func TestOverrankBounds(t *testing.T) {
 		n := int(nRaw%80) + 10
 		bk := rank.ScaledMagnitudes(n * 20)
 
-		agreed := make(map[string]rank.Bucket)
+		agreed := make(map[names.ID]rank.Bucket)
 		var listNames []string
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("s%d.net", i)
 			listNames = append(listNames, name)
 			if src.Bernoulli(0.8) {
-				agreed[name] = rank.Bucket(src.Intn(4))
+				agreed[idOf(name)] = rank.Bucket(src.Intn(4))
 			}
 		}
 		list := rank.MustNew(listNames)
@@ -99,28 +100,28 @@ func TestAgreedBucketsSubsetProperty(t *testing.T) {
 		n := int(nRaw%50) + 10
 		bk := rank.ScaledMagnitudes(n)
 
-		names := make([]string, n)
-		for i := range names {
-			names[i] = fmt.Sprintf("d%d.org", i)
+		doms := make([]string, n)
+		for i := range doms {
+			doms[i] = fmt.Sprintf("d%d.org", i)
 		}
 		perm1 := src.Perm(n)
 		perm2 := src.Perm(n)
 		l1 := make([]string, n)
 		l2 := make([]string, 0, n)
 		for i, p := range perm1 {
-			l1[i] = names[p]
+			l1[i] = doms[p]
 		}
 		for _, p := range perm2 {
 			if src.Bernoulli(0.8) {
-				l2 = append(l2, names[p])
+				l2 = append(l2, doms[p])
 			}
 		}
 		m1 := rank.MustNew(l1)
 		m3 := rank.MustNew(l2)
 		agreed := AgreedBuckets(m1, m3, bk)
-		for name, b := range agreed {
-			r1, ok1 := m1.RankOf(name)
-			r3, ok3 := m3.RankOf(name)
+		for id, b := range agreed {
+			r1, ok1 := m1.RankOfID(id)
+			r3, ok3 := m3.RankOfID(id)
 			if !ok1 || !ok3 {
 				return false
 			}

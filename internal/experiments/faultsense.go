@@ -102,7 +102,7 @@ func RunFaultSense(ctx context.Context, s *core.Study) (Result, error) {
 	cfRank := s.Artifacts().MetricRanking(day, m)
 	tab := s.Names()
 	evalWith := func(set map[string]struct{}) float64 {
-		return core.EvalListVsMetricIDs(norm, interned(tab, set), cfRank, s.EvalK(), l.Bucketed()).Jaccard
+		return core.EvalListVsMetric(norm, interned(tab, set), cfRank, s.EvalK(), l.Bucketed()).Jaccard
 	}
 
 	res := &FaultSenseResult{

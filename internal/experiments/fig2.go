@@ -54,9 +54,9 @@ func RunFig2(s *core.Study) *Fig2Result {
 				// Set intersection is judged at the scarce head cut; rank
 				// correlation over the full list depth, where tail noise
 				// (alphabetical runs, panel starvation) lives.
-				ev := core.EvalListVsMetricIDs(norm, cfSet, cf, k, l.Bucketed())
+				ev := core.EvalListVsMetric(norm, cfSet, cf, k, l.Bucketed())
 				if !l.Bucketed() {
-					deep := core.EvalListVsMetricIDs(norm, cfSet, cf, deepK, false)
+					deep := core.EvalListVsMetric(norm, cfSet, cf, deepK, false)
 					ev.Spearman, ev.SpearmanOK = deep.Spearman, deep.SpearmanOK
 				}
 				daily = append(daily, ev)

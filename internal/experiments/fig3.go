@@ -52,10 +52,10 @@ func RunFig3(s *core.Study) *Fig3Result {
 		for d := 0; d < days; d++ {
 			cf := art.MetricRanking(d, cfmetrics.MAllRequests)
 			norm := art.Normalized(l, d)
-			ev := core.EvalListVsMetricIDs(norm, cfSet, cf, k, l.Bucketed())
+			ev := core.EvalListVsMetric(norm, cfSet, cf, k, l.Bucketed())
 			res.Jaccard[li][d] = ev.Jaccard
 			if !l.Bucketed() {
-				deep := core.EvalListVsMetricIDs(norm, cfSet, cf, s.SpearmanK(), false)
+				deep := core.EvalListVsMetric(norm, cfSet, cf, s.SpearmanK(), false)
 				res.Spearman[li][d] = deep.Spearman
 				res.SpearmanOK[li][d] = deep.SpearmanOK
 			}

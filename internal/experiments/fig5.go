@@ -38,16 +38,16 @@ func RunFig5(s *core.Study) *Fig5Result {
 	art := s.Artifacts()
 	m1 := art.MonthlyMetric(cfmetrics.MAllRequests)
 	m3 := art.MonthlyMetric(cfmetrics.MRootRequests)
-	agreed := core.AgreedBucketsIDs(m1, m3, s.Bucketer)
+	agreed := core.AgreedBuckets(m1, m3, s.Bucketer)
 
 	res := &Fig5Result{Day: day, AgreedCount: len(agreed)}
 	for _, l := range s.Lists() {
 		norm := art.Normalized(l, day)
 		res.Lists = append(res.Lists, l.Name())
-		res.Movements = append(res.Movements, core.ComputeMovementIDs(agreed, norm, s.Bucketer))
+		res.Movements = append(res.Movements, core.ComputeMovement(agreed, norm, s.Bucketer))
 		res.Overrank = append(res.Overrank, []core.OverrankStats{
-			core.ComputeOverrankIDs(agreed, norm, s.Bucketer, 0),
-			core.ComputeOverrankIDs(agreed, norm, s.Bucketer, 1),
+			core.ComputeOverrank(agreed, norm, s.Bucketer, 0),
+			core.ComputeOverrank(agreed, norm, s.Bucketer, 1),
 		})
 	}
 	return res

@@ -133,7 +133,7 @@ func RunVantages(ctx context.Context, s *core.Study) (Result, error) {
 					agreed[truthOn[bi].IDAt(i)] = b
 				}
 			}
-			mv := core.ComputeMovementIDs(agreed, monthly, s.Bucketer)
+			mv := core.ComputeMovement(agreed, monthly, s.Bucketer)
 			var stayed, total int
 			for a := 0; a < rank.NumBuckets; a++ {
 				for b := 0; b < rank.NumBuckets; b++ {

@@ -60,17 +60,18 @@ type Config struct {
 	// 0.025).
 	HomeOpenDNSShare float64
 	// Workers is the number of goroutines simulating clients within a day.
-	// 0 (the default) uses one worker per available CPU; 1 forces the
-	// serial legacy path, which the parallel path is tested against. Every
-	// setting produces the identical event stream: workers emit into
-	// per-shard buffers that are replayed into sinks in client order.
+	// 0 (the default) uses one worker per available CPU. With 1 the day's
+	// shards run in order on the calling goroutine and events stream
+	// straight into the sinks; with more, each shard buffers its events
+	// and the buffers are replayed in shard order at the day barrier.
+	// Every setting produces the identical event stream (see sharded.go).
 	Workers int
 	// Sketch enables bounded per-shard aggregation: the day's clients are
 	// split into Sketch.Shards fixed logical shards (independent of
 	// Workers), sinks implementing ShardedSink accumulate one summary per
 	// logical shard, and the day barrier merges the summaries in ascending
-	// shard order instead of replaying per-event buffers. Off (the zero
-	// value) leaves the engine byte-identical to the exact path.
+	// shard order instead of feeding those sinks the event stream. Off
+	// (the zero value) feeds every sink the exact event stream.
 	Sketch sketch.Config
 	// Ablate disables selected engine mechanisms for ablation studies.
 	Ablate Ablations
@@ -198,18 +199,15 @@ type Engine struct {
 	root         *simrand.Source
 
 	// humanReqs accumulates per-site human request counts for the current
-	// day; bot volume is derived from it at day end. Workers accumulate
-	// into private copies that are summed after the day's barrier.
+	// day; bot volume is derived from it at day end. Shards accumulate
+	// into private copies that are summed at the day's barrier.
 	humanReqs []int32
 
-	// serialScratch and workers hold per-day reusable simulation state for
-	// the serial and parallel paths respectively.
-	serialScratch *clientScratch
-	workers       []*workerState
-
-	// Sketch-mode state: the fixed logical shards and the one-time split of
-	// sinks into sharded and plain (see sharded.go).
-	logical      []*logicalShard
+	// shards holds the reusable per-day state of the logical shards;
+	// shardedSinks and plainSinks are the one-time split of sinks into
+	// those merged from shard states and those fed the event stream (see
+	// sharded.go).
+	shards       []*logicalShard
 	shardedSinks []ShardedSink
 	plainSinks   []Sink
 	sinksSplit   bool
@@ -250,7 +248,7 @@ type engineMetrics struct {
 	shardTime *obs.Histogram // engine.shard
 	// skewPctMax is the worst per-day shard imbalance seen so far:
 	// 100 * (slowest shard - mean shard) / mean shard. High skew means the
-	// contiguous client sharding is leaving workers idle.
+	// logical shards are leaving workers idle.
 	skewPctMax *obs.Gauge // engine.shard.skew_pct_max (volatile)
 	simPhase   *obs.Phase // phase.simulate
 
@@ -518,11 +516,11 @@ func (e *Engine) RestoreDay(d int) error {
 
 // AdvanceDay simulates exactly one day — the one at the Day cursor — and
 // advances the cursor. Days advance strictly in order, exactly once: the
-// cursor is the guard against out-of-order or double advancement, for both
-// the buffered-replay and sketch-sharded paths. Once all configured days
-// have run it returns ErrRunComplete. A failed day (shard panic, mid-day
-// cancellation) latches: the sinks are mid-day and every subsequent call
-// returns an error wrapping ErrEngineAborted. A cancellation observed
+// cursor is the guard against out-of-order or double advancement. Once
+// all configured days have run it returns ErrRunComplete. A failed day
+// (shard panic, mid-day cancellation) latches: the sinks are mid-day and
+// every subsequent call returns an error wrapping ErrEngineAborted. A
+// cancellation observed
 // before any day work starts is returned as ctx's error without latching,
 // since the sinks are still consistent at the previous day boundary.
 func (e *Engine) AdvanceDay(ctx context.Context) error {
@@ -561,10 +559,10 @@ func (e *Engine) RunContext(ctx context.Context) error {
 
 // RunDay simulates a single day, which must be the day at the Day cursor:
 // sinks accumulate state day over day, so the lifecycle forbids skipping
-// or repeating days. With more than one worker configured the day's
-// clients are simulated concurrently in contiguous shards; the event
-// stream the sinks observe is identical for every worker count (see
-// parallel.go). Like Run, a shard panic propagates.
+// or repeating days. The day's clients are simulated over logical shards,
+// concurrently when more than one worker is configured; what the sinks
+// observe is identical for every worker count (see sharded.go). Like Run,
+// a shard panic propagates.
 func (e *Engine) RunDay(d int) {
 	if d != e.day {
 		panic(fmt.Sprintf("traffic: RunDay(%d): cursor is at day %d; days advance in order, exactly once", d, e.day))
@@ -588,26 +586,7 @@ func (e *Engine) runDay(ctx context.Context, d int) error {
 	}
 
 	daySrc := e.root.Derive("day").At(d)
-	var err error
-	nw := e.workerCount()
-	e.metrics.workers.Set(int64(nw))
-	if e.Cfg.Sketch.Enabled {
-		err = e.runDayClientsSharded(ctx, d, weekend, daySrc, nw)
-	} else if nw > 1 {
-		err = e.runDayClientsParallel(ctx, d, weekend, daySrc, nw)
-	} else {
-		if e.serialScratch == nil {
-			e.serialScratch = newClientScratch()
-		}
-		shardStart := time.Now()
-		out := shardOut{sinks: e.sinks, humanReqs: e.humanReqs}
-		err = e.simulateShard(ctx, 0, d, weekend, daySrc, e.serialScratch, &out, 0, len(e.Clients))
-		shardDur := time.Since(shardStart)
-		e.metrics.shardTime.Observe(shardDur)
-		e.metrics.tracer.Span("engine.shard", "engine", 0, shardStart, shardDur)
-		out.flushCounts(&e.metrics)
-	}
-	if err != nil {
+	if err := e.runDayClients(ctx, d, weekend, daySrc); err != nil {
 		return err
 	}
 	e.simulateBots(d, daySrc.Derive("bots"))

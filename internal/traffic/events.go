@@ -116,7 +116,8 @@ type DNSQuery struct {
 
 // Sink receives the slice of simulation events an observer can see. The
 // engine calls BeginDay/EndDay around each simulated day; events arrive in
-// deterministic order.
+// deterministic order — the same at every worker count — and from one
+// goroutine at a time.
 type Sink interface {
 	BeginDay(day int, weekend bool)
 	OnPageLoad(pl *PageLoad)
@@ -140,13 +141,14 @@ type ShardState interface {
 }
 
 // ShardedSink is a Sink that can aggregate through bounded per-shard
-// summaries instead of a replayed event stream. In sketch mode (see
+// summaries instead of the event stream. In sketch mode (see
 // Config.Sketch) the engine feeds each logical shard's page loads and DNS
 // queries into a ShardState and, at the day barrier, hands the states back
 // via MergeShard in ascending logical-shard order — a canonical merge
 // order, so sink contents are byte-identical at every worker count. Bot
 // batches and Begin/EndDay still arrive through the plain Sink interface,
-// on the engine goroutine.
+// on the engine goroutine. In exact mode the engine treats a ShardedSink
+// like any other Sink and never calls NewShardState or MergeShard.
 type ShardedSink interface {
 	Sink
 	// NewShardState returns a fresh, empty per-shard accumulator.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"toplists/internal/obs"
+	"toplists/internal/sketch"
 	"toplists/internal/world"
 )
 
@@ -71,37 +72,77 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// engineHash runs a full engine with the given worker count and returns the
-// event-stream hash.
-func engineHash(t testing.TB, seed uint64, clients, days, workers int) (uint64, int) {
+// shardHashSink is a ShardedSink whose states hash their shard's events in
+// arrival order. MergeShard folds each state's hash into merged, so the
+// final value pins both every shard's event stream and the merge order.
+type shardHashSink struct {
+	BaseSink
+	merged hashSink
+}
+
+type shardHashState struct{ hashSink }
+
+func (s *shardHashState) Reset() { s.hashSink = hashSink{} }
+
+func (s *shardHashSink) NewShardState() ShardState { return &shardHashState{} }
+
+func (s *shardHashSink) MergeShard(st ShardState) {
+	hs := st.(*shardHashState)
+	s.merged.mix(hs.h, uint64(hs.events))
+}
+
+// engineHash runs a full engine with the given worker count and sketch
+// config. It returns the event-stream hash and event count of a plain
+// sink, and the merge hash of a shardHashSink registered beside it (0 in
+// exact mode, where the engine treats that sink as a plain one).
+func engineHash(t testing.TB, seed uint64, clients, days, workers int, sk sketch.Config) (h uint64, events int, merged uint64) {
 	t.Helper()
 	w := world.Generate(world.Config{Seed: seed, NumSites: 1200})
 	e := NewEngine(w, Config{
-		Seed: seed + 1, NumClients: clients, Days: days, Workers: workers,
+		Seed: seed + 1, NumClients: clients, Days: days, Workers: workers, Sketch: sk,
 	})
-	hs := &hashSink{}
+	hs, ss := &hashSink{}, &shardHashSink{}
 	e.AddSink(hs)
+	e.AddSink(ss)
 	e.Run()
-	return hs.h, hs.events
+	return hs.h, hs.events, ss.merged.h
 }
 
-// TestParallelMatchesSerial is the engine-level determinism oracle: the
-// sharded parallel path must deliver the exact event stream of the serial
-// path, for several worker counts, including counts that exceed the
-// population.
+// TestParallelMatchesSerial is the engine-level determinism oracle: at
+// every worker count — including counts that exceed the population — a
+// plain sink must observe the exact event stream of the one-worker exact
+// run. That holds in sketch mode too, where the same plain sink shares
+// the engine with a sharded sink whose merges must not depend on the
+// worker count either.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 9000} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			wantH, wantN := engineHash(t, seed, 150, 3, 1)
+			wantH, wantN, _ := engineHash(t, seed, 150, 3, 1, sketch.Config{})
 			if wantN == 0 {
 				t.Fatal("serial run produced no events")
 			}
 			for _, workers := range []int{2, 3, 8, 151, 1000} {
-				gotH, gotN := engineHash(t, seed, 150, 3, workers)
+				gotH, gotN, _ := engineHash(t, seed, 150, 3, workers, sketch.Config{})
 				if gotN != wantN || gotH != wantH {
 					t.Errorf("workers=%d: events=%d hash=%#x, want events=%d hash=%#x",
 						workers, gotN, gotH, wantN, wantH)
+				}
+			}
+			var wantMerged uint64
+			for _, workers := range []int{1, 2, 4, 8} {
+				gotH, gotN, merged := engineHash(t, seed, 150, 3, workers, sketch.Config{Enabled: true})
+				if gotN != wantN || gotH != wantH {
+					t.Errorf("sketch workers=%d: events=%d hash=%#x, want events=%d hash=%#x",
+						workers, gotN, gotH, wantN, wantH)
+				}
+				if merged == 0 {
+					t.Fatalf("sketch workers=%d: sharded sink saw no merges", workers)
+				}
+				if workers == 1 {
+					wantMerged = merged
+				} else if merged != wantMerged {
+					t.Errorf("sketch workers=%d: merge hash %#x, want %#x", workers, merged, wantMerged)
 				}
 			}
 		})
@@ -214,7 +255,7 @@ func TestSimulateClientDayAllocsFlat(t *testing.T) {
 	e.SetObs(obs.NewRegistry())
 	sc := newClientScratch()
 	var buf dayBuffer
-	out := shardOut{buffered: true, buf: &buf, humanReqs: make([]int32, w.NumSites())}
+	out := shardOut{buf: &buf, humanReqs: make([]int32, w.NumSites())}
 	daySrc := e.root.Derive("day").At(0)
 
 	run := func() {
@@ -241,27 +282,31 @@ func TestSimulateClientDayAllocsFlat(t *testing.T) {
 
 // BenchmarkEngineParallel sweeps worker counts over a fixed engine day so
 // the speedup (or single-core overhead) of the sharded path lands in the
-// performance trajectory.
+// performance trajectory. The sketch rows split the day into the default
+// Sketch.Shards logical shards instead of one per worker.
 func BenchmarkEngineParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			w := world.Generate(world.Config{Seed: 1, NumSites: 5000})
-			e := NewEngine(w, Config{
-				Seed: 2, NumClients: 1000, Days: 28, Workers: workers,
-			})
-			e.AddSink(&BaseSink{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if e.Day() == e.Cfg.Days {
-					b.StopTimer()
-					e = NewEngine(w, Config{
-						Seed: 2, NumClients: 1000, Days: 28, Workers: workers,
-					})
-					e.AddSink(&BaseSink{})
-					b.StartTimer()
+	for _, mode := range engineModes {
+		prefix := ""
+		if mode.sk.Enabled {
+			prefix = "sketch/"
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%sworkers=%d", prefix, workers), func(b *testing.B) {
+				w := world.Generate(world.Config{Seed: 1, NumSites: 5000})
+				cfg := Config{Seed: 2, NumClients: 1000, Days: 28, Workers: workers, Sketch: mode.sk}
+				e := NewEngine(w, cfg)
+				e.AddSink(&BaseSink{})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if e.Day() == e.Cfg.Days {
+						b.StopTimer()
+						e = NewEngine(w, cfg)
+						e.AddSink(&BaseSink{})
+						b.StartTimer()
+					}
+					e.RunDay(e.Day())
 				}
-				e.RunDay(e.Day())
-			}
-		})
+			})
+		}
 	}
 }

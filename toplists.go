@@ -57,11 +57,11 @@ type Config struct {
 	AllCombos bool
 	// Workers is the number of goroutines simulating clients within each
 	// day, and also the size of the worker pool RenderAll and
-	// RunExperiments evaluate experiments on: 0 uses one per CPU, 1 forces
-	// the serial path. Results are bit-identical for every setting —
-	// simulation workers emit into per-shard buffers that are replayed to
-	// observers in client order, and evaluation results are emitted in
-	// canonical paper order regardless of completion order.
+	// RunExperiments evaluate experiments on: 0 uses one per CPU, 1 runs
+	// everything on the calling goroutine. Results are bit-identical for
+	// every setting — observers see each day's events in client order at
+	// every worker count, and evaluation results are emitted in canonical
+	// paper order regardless of completion order.
 	Workers int
 	// CruxMinVisitors is the CrUX per-country privacy threshold.
 	CruxMinVisitors int
@@ -166,7 +166,7 @@ type Study struct {
 // Run builds the universe, simulates the measurement window, and finalizes
 // every top list. It is CPU-bound and scales across cores: the simulation
 // fans each day's clients out over Config.Workers goroutines (0 = one per
-// CPU) with output bit-identical to the serial path. Expect seconds to
+// CPU) with output bit-identical at every worker count. Expect seconds to
 // minutes depending on Config.
 func Run(cfg Config) (*Study, error) {
 	return RunContext(context.Background(), cfg)
