@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCountMin -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceSaving -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSketchMerge -fuzztime=10s ./internal/sketch
+	$(GO) test -run=^$$ -fuzz=FuzzHLL -fuzztime=10s ./internal/sketch
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

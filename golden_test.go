@@ -16,6 +16,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the RenderAll gold
 // byte-identically: interner IDs are an internal vocabulary only — every
 // ordering decision (score sort, tie-break, min-rank grouping) is made on
 // scores and strings, never on IDs. See DESIGN.md, "Interned evaluation".
+// The seed-7 config also runs in sketch mode, which pins the sketch
+// kernels' output (HLL estimates, summary merges) across commits.
 //
 // Regenerate with: go test -run TestRenderAllGolden -update-golden
 func TestRenderAllGolden(t *testing.T) {
@@ -26,6 +28,7 @@ func TestRenderAllGolden(t *testing.T) {
 	}{
 		{"golden_seed7.txt", Config{Seed: 7, Sites: 1500, Clients: 500, Days: 5, AllCombos: true}, true},
 		{"golden_seed9.txt", Config{Seed: 9, Sites: 400, Clients: 120, Days: 2}, false},
+		{"golden_sketch_seed7.txt", Config{Seed: 7, Sites: 1500, Clients: 500, Days: 5, AllCombos: true, Sketch: true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {

@@ -62,15 +62,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// NewDistinct returns a distinct counter per the configuration: exact when
-// sketching is off, a HyperLogLog at the configured precision when on.
-func (c Config) NewDistinct() Distinct {
-	if !c.Enabled {
-		return NewExact()
-	}
-	return NewHLL(c.HLLPrecision)
-}
-
 // NewCountMin returns a frequency sketch at the configured dimensions.
 func (c Config) NewCountMin() *CountMin {
 	return NewCountMin(c.CMWidth, c.CMDepth)

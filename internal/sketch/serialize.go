@@ -72,6 +72,14 @@ func DecodeDistinct(d *snapshot.Decoder) (Distinct, error) {
 		if p < 4 || p > 18 || len(regs) != 1<<p {
 			return nil, fmt.Errorf("%w: HLL precision %d with %d registers", snapshot.ErrCorrupt, p, len(regs))
 		}
+		// Add never stores more than maxRegister, and Merge's word-wide
+		// maximum relies on it, so a larger byte can only be corruption.
+		limit := maxRegister(uint8(p))
+		for i, r := range regs {
+			if r > limit {
+				return nil, fmt.Errorf("%w: HLL register %d holds %d, above %d", snapshot.ErrCorrupt, i, r, limit)
+			}
+		}
 		return &HLL{p: uint8(p), regs: regs}, nil
 	default:
 		if err := d.Err(); err != nil {

@@ -12,7 +12,10 @@
 // back to exact structures, the oracle the sketch path is tested against.
 package sketch
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Distinct counts the approximate or exact number of distinct uint64 items.
 type Distinct interface {
@@ -102,13 +105,23 @@ func (h *HLL) Add(item uint64) {
 	}
 }
 
+// pow2neg[r] is 2^-r, the harmonic-mean term of a register holding r. The
+// entries are the exact values math.Ldexp(1, -r) returns, so summing them
+// in register order is bit-identical to calling Ldexp per register.
+var pow2neg = func() (t [256]float64) {
+	for r := range t {
+		t[r] = math.Ldexp(1, -r)
+	}
+	return t
+}()
+
 // Count implements Distinct.
 func (h *HLL) Count() float64 {
 	m := float64(len(h.regs))
 	var sum float64
 	zeros := 0
 	for _, r := range h.regs {
-		sum += math.Ldexp(1, -int(r))
+		sum += pow2neg[r]
 		if r == 0 {
 			zeros++
 		}
@@ -133,18 +146,36 @@ func alpha(m int) float64 {
 	return 0.7213 / (1 + 1.079/float64(m))
 }
 
-// Merge implements Distinct.
+// Merge implements Distinct. Registers are combined eight at a time with a
+// word-wide bytewise maximum, which is exact because no register exceeds
+// maxRegister (< 128).
 func (h *HLL) Merge(other Distinct) {
 	o, ok := other.(*HLL)
 	if !ok || o.p != h.p {
 		panic("sketch: merging incompatible HLLs")
 	}
-	for i, r := range o.regs {
-		if r > h.regs[i] {
-			h.regs[i] = r
-		}
+	a, b := h.regs, o.regs[:len(h.regs)]
+	for len(a) >= 8 {
+		x, y := binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b)
+		binary.LittleEndian.PutUint64(a, maxBytes(x, y))
+		a, b = a[8:], b[8:]
 	}
 }
+
+// maxBytes returns the bytewise maximum of x and y, every byte of which
+// must be below 128. Per byte, (x|0x80)-y cannot borrow from its neighbour
+// and keeps its high bit exactly when x >= y; that bit, spread to the whole
+// byte, selects x or y.
+func maxBytes(x, y uint64) uint64 {
+	const hi = 0x8080808080808080
+	ge := ((x | hi) - y) & hi
+	mask := (ge >> 7) * 0xff
+	return x&mask | y&^mask
+}
+
+// maxRegister returns the largest value Add can store in a register at
+// precision p: Add's guard bit caps the leading-zero run at 64-p.
+func maxRegister(p uint8) uint8 { return 65 - p }
 
 // Reset implements Distinct.
 func (h *HLL) Reset() { clear(h.regs) }

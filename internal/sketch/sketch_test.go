@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -172,6 +174,151 @@ func TestFactories(t *testing.T) {
 	}
 	if _, ok := HLLFactory(12)().(*HLL); !ok {
 		t.Error("HLLFactory type")
+	}
+}
+
+// refCount is the HLL estimator evaluated with one math.Ldexp call per
+// register, in register order. HLL.Count must be bit-identical to it.
+func refCount(h *HLL) float64 {
+	m := float64(len(h.regs))
+	var sum float64
+	zeros := 0
+	for _, r := range h.regs {
+		sum += math.Ldexp(1, -int(r))
+		if r == 0 {
+			zeros++
+		}
+	}
+	est := alpha(len(h.regs)) * m * m / sum
+	if est <= 2.5*m && zeros > 0 {
+		return m * math.Log(m/float64(zeros))
+	}
+	return est
+}
+
+// requireMergeIsByteMax merges b into a copy of a and checks every
+// register against the byte-wise maximum.
+func requireMergeIsByteMax(t *testing.T, a, b *HLL) {
+	t.Helper()
+	got := &HLL{p: a.p, regs: append([]uint8(nil), a.regs...)}
+	got.Merge(b)
+	for i := range a.regs {
+		if want := max(a.regs[i], b.regs[i]); got.regs[i] != want {
+			t.Fatalf("p=%d register %d: merged %d, want max(%d, %d)", a.p, i, got.regs[i], a.regs[i], b.regs[i])
+		}
+	}
+}
+
+func requireCountBits(t *testing.T, h *HLL) {
+	t.Helper()
+	if got, want := h.Count(), refCount(h); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("p=%d: Count %v (%#x), Ldexp reference %v (%#x)",
+			h.p, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// FuzzHLL pins the HLL kernels to their references: an arbitrary item
+// stream split into two HLLs at p in [4,18] must count bit-identically to
+// the per-register Ldexp loop and merge to the byte-wise maximum (and to
+// the HLL of the whole stream). Register files taken straight from the
+// input reach register values and sums streams rarely do. TopKDistinct's
+// slot-paired merge must match the map-based reference.
+func FuzzHLL(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(7), uint8(5))
+	f.Add([]byte{0xff, 0, 0x80, 0x7f, 0x41, 0x3d}, uint8(14), uint8(0))
+	f.Add([]byte{}, uint8(0), uint8(1))
+	// Registers up to 55 at p=10: partial sums round, so any change to the
+	// summation order shows in the low bits.
+	f.Add([]byte("register files with large values round in the float sum"), uint8(6), uint8(9))
+	f.Fuzz(func(t *testing.T, raw []byte, pRaw, cut uint8) {
+		p := 4 + pRaw%15
+		var items []uint64
+		for rest := raw; len(rest) > 0; {
+			var chunk [8]byte
+			n := copy(chunk[:], rest)
+			rest = rest[n:]
+			items = append(items, binary.LittleEndian.Uint64(chunk[:]))
+		}
+		split := int(cut) % (len(items) + 1)
+
+		a, b, whole := NewHLL(p), NewHLL(p), NewHLL(p)
+		for i, x := range items {
+			if i < split {
+				a.Add(x)
+			} else {
+				b.Add(x)
+			}
+			whole.Add(x)
+		}
+		for _, h := range []*HLL{a, b, whole} {
+			requireCountBits(t, h)
+		}
+		requireMergeIsByteMax(t, a, b)
+		merged := NewHLL(p)
+		merged.Merge(a)
+		merged.Merge(b)
+		if string(merged.regs) != string(whole.regs) {
+			t.Fatal("merged registers differ from the whole stream's")
+		}
+
+		if len(raw) > 0 {
+			x, y := NewHLL(p), NewHLL(p)
+			for i := range x.regs {
+				x.regs[i] = raw[i%len(raw)] % (maxRegister(p) + 1)
+				y.regs[i] = raw[(i*7+int(cut))%len(raw)] % (maxRegister(p) + 1)
+			}
+			requireCountBits(t, x)
+			requireCountBits(t, y)
+			requireMergeIsByteMax(t, x, y)
+		}
+
+		// Keys from the item bytes, capacity from the split: small enough
+		// that merges evict, drop and clone counters.
+		k := 1 + int(cut)%6
+		tkd := [4]*TopKDistinct{}
+		for i := range tkd {
+			tkd[i] = NewTopKDistinct(k, 4)
+		}
+		for i, x := range items {
+			side := 0
+			if i >= split {
+				side = 1
+			}
+			tkd[side].Add(x%11, x)
+			tkd[side+2].Add(x%11, x)
+		}
+		tkd[0].Merge(tkd[1])
+		refMergeTopKDistinct(tkd[2], tkd[3])
+		requireSameTopKDistinct(t, tkd[0], tkd[2])
+	})
+}
+
+func BenchmarkHLLCount(b *testing.B) {
+	for _, p := range []uint8{11, 6} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			h := NewHLL(p)
+			for i := 0; i < 4<<p; i++ {
+				h.Add(uint64(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Count()
+			}
+		})
+	}
+}
+
+func BenchmarkHLLMerge(b *testing.B) {
+	x, y := NewHLL(11), NewHLL(11)
+	for i := 0; i < 1<<14; i++ {
+		x.Add(uint64(2 * i))
+		y.Add(uint64(2*i + 1))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.Merge(y)
 	}
 }
 

@@ -295,6 +295,14 @@ func sortEntries(es []Entry) {
 // slot-indexed payloads must rebuild them (see Slot). Merging runs at the
 // day barrier, not on the per-event path, so it may allocate.
 func (s *SpaceSaving) Merge(o *SpaceSaving, drop func(key uint64)) {
+	s.merge(o, drop)
+}
+
+// merge is Merge, returning the kept entries in the merged summary's slot
+// order (entry i now occupies slot i). Each returned Slot is the slot the
+// key held in s before the merge, or -1 when only o tracked it, which lets
+// callers move slot-indexed payloads without a key lookup on their side.
+func (s *SpaceSaving) merge(o *SpaceSaving, drop func(key uint64)) []Entry {
 	if o.k != s.k {
 		panic("sketch: merging SpaceSaving summaries of different capacity")
 	}
@@ -310,14 +318,14 @@ func (s *SpaceSaving) Merge(o *SpaceSaving, drop func(key uint64)) {
 			c += minO
 			err += minO
 		}
-		combined = append(combined, Entry{Key: e.key, Count: c, Err: err})
+		combined = append(combined, Entry{Key: e.key, Count: c, Err: err, Slot: int32(i)})
 	}
 	for i := range o.entries {
 		e := &o.entries[i]
 		if s.idxFind(e.key) >= 0 {
 			continue
 		}
-		combined = append(combined, Entry{Key: e.key, Count: e.count + minS, Err: e.err + minS})
+		combined = append(combined, Entry{Key: e.key, Count: e.count + minS, Err: e.err + minS, Slot: -1})
 	}
 	sortEntries(combined)
 	keep := combined
@@ -344,6 +352,7 @@ func (s *SpaceSaving) Merge(o *SpaceSaving, drop func(key uint64)) {
 		s.idxInsert(e.Key, slot)
 		s.siftUp(len(s.heap) - 1)
 	}
+	return keep
 }
 
 // Reset returns the summary to empty for reuse, keeping capacity.

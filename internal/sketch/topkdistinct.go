@@ -1,5 +1,7 @@
 package sketch
 
+import "slices"
+
 // TopKDistinct couples a SpaceSaving candidate summary with one HLL per
 // tracked key: the shape of a bounded "unique visitors per name" aggregation.
 // Candidate selection is by event volume (the space-saving count), while the
@@ -29,6 +31,19 @@ func (t *TopKDistinct) alloc() *HLL {
 		return h
 	}
 	return NewHLL(t.p)
+}
+
+// clone returns a counter holding a copy of h's registers, reusing a pooled
+// one when available; the copy overwrites every register, so no Reset.
+func (t *TopKDistinct) clone(h *HLL) *HLL {
+	n := len(t.free)
+	if n == 0 {
+		return &HLL{p: t.p, regs: slices.Clone(h.regs)}
+	}
+	c := t.free[n-1]
+	t.free = t.free[:n-1]
+	copy(c.regs, h.regs)
+	return c
 }
 
 // Add records one event for key carrying the distinct item (e.g. a client
@@ -67,34 +82,34 @@ func (t *TopKDistinct) Entries(dst []Entry) []Entry { return t.SS.Entries(dst) }
 // Merge folds another summary into this one: space-saving counts combine
 // per the mergeable-summaries rule, and surviving keys' HLLs take register
 // maxima over both sides (a key only one side tracked keeps that side's
-// registers). o is not modified. Runs at the day barrier, so it may
-// allocate.
+// registers). HLLs are paired by slot: the space-saving merge reports each
+// surviving key's previous slot here, and o's slot is one index probe. o
+// is not modified. Runs at the day barrier, so it may allocate.
 func (t *TopKDistinct) Merge(o *TopKDistinct) {
-	mine := make(map[uint64]*HLL, t.SS.Len())
-	for _, e := range t.SS.Entries(nil) {
-		mine[e.Key] = t.payloads[e.Slot]
+	if o.p != t.p {
+		panic("sketch: merging TopKDistinct summaries of different precision")
 	}
-	theirs := make(map[uint64]*HLL, o.SS.Len())
-	for _, e := range o.SS.Entries(nil) {
-		theirs[e.Key] = o.payloads[e.Slot]
-	}
-	t.SS.Merge(o.SS, nil)
-
-	t.payloads = make([]*HLL, t.SS.Len())
-	for _, e := range t.SS.Entries(nil) {
-		h := mine[e.Key]
-		if h == nil {
-			h = t.alloc()
+	old := t.payloads
+	kept := t.SS.merge(o.SS, nil)
+	t.payloads = make([]*HLL, len(kept))
+	for slot, e := range kept {
+		theirs := o.SS.Slot(e.Key)
+		if e.Slot < 0 {
+			t.payloads[slot] = t.clone(o.payloads[theirs])
+			continue
 		}
-		if oh := theirs[e.Key]; oh != nil {
-			h.Merge(oh)
+		h := old[e.Slot]
+		old[e.Slot] = nil
+		if theirs >= 0 {
+			h.Merge(o.payloads[theirs])
 		}
-		t.payloads[e.Slot] = h
-		delete(mine, e.Key)
+		t.payloads[slot] = h
 	}
 	// Counters of dropped keys go back to the pool.
-	for _, h := range mine {
-		t.free = append(t.free, h)
+	for _, h := range old {
+		if h != nil {
+			t.free = append(t.free, h)
+		}
 	}
 }
 
