@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz bench check faultcheck obscheck sketchcheck snapcheck vantagecheck crashcheck perfcheck sweepsmoke
+.PHONY: build test vet benchvet race fuzz bench check faultcheck obscheck sketchcheck snapcheck vantagecheck crashcheck perfcheck sweepsmoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# benchvet vets and builds the nested pipebench module, which imports the
+# study packages but is outside the root module's ./... pattern.
+benchvet:
+	cd pipebench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # The simulation engine runs client shards concurrently, the experiments
 # evaluate on a shared artifact store, the name interner serves lock-free
@@ -119,4 +124,4 @@ sweepsmoke:
 		-sketch both -experiments tab2,fig2 -par 4 -out sweep-smoke -v
 
 # check is the CI gate: everything must pass before merging.
-check: build vet test race faultcheck obscheck sketchcheck snapcheck vantagecheck crashcheck perfcheck sweepsmoke
+check: build vet benchvet test race faultcheck obscheck sketchcheck snapcheck vantagecheck crashcheck perfcheck sweepsmoke

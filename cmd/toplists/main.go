@@ -19,6 +19,7 @@
 //	-experiment artifact to regenerate: fig1..fig8, tab1..tab3, or "all"
 //	-faultrate  inject deterministic network faults at this rate (0..1);
 //	            output stays reproducible for a fixed seed
+//	-sketch     aggregate through bounded mergeable sketches
 //	-list       print the available experiments and exit
 //	-report     write a machine-readable JSON run report (telemetry
 //	            snapshot) to the given file
@@ -29,6 +30,10 @@
 //	            the run is in flight (e.g. localhost:6060)
 //	-quiet      suppress diagnostics and the end-of-run summary
 //	-v          verbose diagnostics
+//
+// The study flags apply to every experiment, the multi-study ones (ablate,
+// robust, attack) included; an out-of-range value exits with status 2 and
+// an error naming it, before anything is built.
 //
 // Artifacts go to stdout and nothing else does: every diagnostic, and the
 // end-of-run telemetry summary, goes to stderr, so redirecting stdout
@@ -58,17 +63,18 @@ import (
 )
 
 func main() {
+	var cfg toplists.Config
+	flag.Uint64Var(&cfg.Seed, "seed", 2022, "study seed")
+	flag.IntVar(&cfg.Sites, "sites", 50000, "number of websites in the universe")
+	flag.IntVar(&cfg.Clients, "clients", 6000, "number of simulated clients")
+	flag.IntVar(&cfg.Days, "days", 28, "measurement window in days")
+	flag.IntVar(&cfg.Workers, "workers", 0, "simulation and evaluation worker goroutines (0 = one per CPU, 1 = serial)")
+	flag.IntVar(&cfg.Vantages, "vantages", 1, "measurement vantage points (1 = transparent global only)")
+	flag.IntVar(&cfg.Backends, "backends", 1, "deployed CDN edge backends (1 = Cloudflare-style only)")
+	flag.Float64Var(&cfg.FaultRate, "faultrate", 0, "inject deterministic network faults at this rate (0..1)")
+	flag.BoolVar(&cfg.Sketch, "sketch", false, "aggregate through bounded mergeable sketches instead of exact state")
 	var (
-		seed       = flag.Uint64("seed", 2022, "study seed")
-		sites      = flag.Int("sites", 50000, "number of websites in the universe")
-		clients    = flag.Int("clients", 6000, "number of simulated clients")
-		days       = flag.Int("days", 28, "measurement window in days")
-		workers    = flag.Int("workers", 0, "simulation and evaluation worker goroutines (0 = one per CPU, 1 = serial)")
-		vantages   = flag.Int("vantages", 1, "measurement vantage points (1 = transparent global only)")
-		backends   = flag.Int("backends", 1, "deployed CDN edge backends (1 = Cloudflare-style only)")
 		experiment = flag.String("experiment", "all", "experiment id (fig1..fig8, tab1..tab3, stability, faultsense, vantages) or 'all'")
-		faultRate  = flag.Float64("faultrate", 0, "inject deterministic network faults at this rate (0..1)")
-		sketchMode = flag.Bool("sketch", false, "aggregate through bounded mergeable sketches instead of exact state")
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		outdir     = flag.String("outdir", "", "also write each artifact to <outdir>/<id>.txt")
 		reportPath = flag.String("report", "", "write a JSON run report (telemetry snapshot) to this file")
@@ -87,6 +93,10 @@ func main() {
 		level = obs.LevelError
 	}
 	log := obs.NewLogger(os.Stderr, level)
+	if err := cfg.Validate(); err != nil {
+		log.Errorf("toplists: %s", errText(err))
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -118,49 +128,28 @@ func main() {
 		log.Infof("debug server on http://%s (/metrics, /debug/pprof/)", srv.Addr())
 	}
 
-	if *experiment == "attack" {
-		res, err := toplists.RunAttack(toplists.Config{
-			Seed: *seed, Sites: *sites, Clients: *clients, Days: *days,
-			Workers: *workers,
-		}, []int{1, 3, 10})
+	switch *experiment {
+	case "attack":
+		res, err := toplists.RunAttack(cfg, []int{1, 3, 10})
 		renderOrDie(log, res, err)
 		return
-	}
-
-	if *experiment == "robust" {
-		res, err := toplists.RunRobustness(toplists.Config{
-			Sites: *sites, Clients: *clients, Days: *days,
-			Workers: *workers,
-		}, []uint64{*seed, *seed + 1, *seed + 2, *seed + 3, *seed + 4})
+	case "robust":
+		s := cfg.Seed
+		res, err := toplists.RunRobustness(cfg, []uint64{s, s + 1, s + 2, s + 3, s + 4})
 		renderOrDie(log, res, err)
 		return
-	}
-
-	if *experiment == "ablate" {
-		res, err := toplists.RunAblations(toplists.Config{
-			Seed: *seed, Sites: *sites, Clients: *clients, Days: *days,
-			Workers: *workers,
-		})
+	case "ablate":
+		res, err := toplists.RunAblations(cfg)
 		renderOrDie(log, res, err)
 		return
 	}
 
 	start := time.Now()
 	log.Infof("building study: %d sites, %d clients, %d days (seed %d)...",
-		*sites, *clients, *days, *seed)
-	study, err := toplists.RunContext(ctx, toplists.Config{
-		Seed:      *seed,
-		Sites:     *sites,
-		Clients:   *clients,
-		Days:      *days,
-		Workers:   *workers,
-		Vantages:  *vantages,
-		Backends:  *backends,
-		AllCombos: true,
-		FaultRate: *faultRate,
-		Sketch:    *sketchMode,
-		Obs:       reg,
-	})
+		cfg.Sites, cfg.Clients, cfg.Days, cfg.Seed)
+	cfg.AllCombos = true
+	cfg.Obs = reg
+	study, err := toplists.RunContext(ctx, cfg)
 	if err != nil {
 		log.Errorf("toplists: %s", errText(err))
 		os.Exit(1)
@@ -210,13 +199,13 @@ func main() {
 
 	rep := reg.Snapshot()
 	rep.Meta = map[string]string{
-		"seed":       strconv.FormatUint(*seed, 10),
-		"sites":      strconv.Itoa(*sites),
-		"clients":    strconv.Itoa(*clients),
-		"days":       strconv.Itoa(*days),
-		"workers":    strconv.Itoa(*workers),
+		"seed":       strconv.FormatUint(cfg.Seed, 10),
+		"sites":      strconv.Itoa(cfg.Sites),
+		"clients":    strconv.Itoa(cfg.Clients),
+		"days":       strconv.Itoa(cfg.Days),
+		"workers":    strconv.Itoa(cfg.Workers),
 		"experiment": *experiment,
-		"faultrate":  strconv.FormatFloat(*faultRate, 'g', -1, 64),
+		"faultrate":  strconv.FormatFloat(cfg.FaultRate, 'g', -1, 64),
 	}
 	if *tracePath != "" {
 		rep.Meta["trace"] = *tracePath

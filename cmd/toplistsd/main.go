@@ -8,6 +8,9 @@
 //
 //	toplistsd [flags]
 //
+// An out-of-range study flag (e.g. -sites -1, -faultrate 3) exits with
+// status 2 and an error naming it, before anything is built.
+//
 //	-addr           HTTP listen address for the v1 API (default
 //	                localhost:8650; :0 picks a free port)
 //	-seed           study seed (default 2022)
@@ -15,10 +18,10 @@
 //	-clients        browsing population (default 6000)
 //	-days           measurement window in days (default 28)
 //	-workers        per-day simulation worker goroutines (0 = one per CPU)
-//	-vantages       measurement vantage points (1 = the single transparent
-//	                global vantage; up to 12)
-//	-backends       deployed CDN edge backends (1 = Cloudflare-style only;
-//	                up to 3)
+//	-vantages       measurement vantage points (0 or 1 = the single
+//	                transparent global vantage; up to 12)
+//	-backends       deployed CDN edge backends (0 or 1 = Cloudflare-style
+//	                only; up to 3)
 //	-allcombos      track all 21 Cloudflare filter-aggregation combinations
 //	-sketch         aggregate through bounded mergeable sketches
 //	-faultrate      inject deterministic network faults at this rate (0..1)
@@ -83,9 +86,7 @@ import (
 
 	"toplists/internal/core"
 	"toplists/internal/obs"
-	"toplists/internal/sketch"
 	"toplists/internal/snapshot"
-	"toplists/internal/world"
 )
 
 // HTTP server hardening. The write timeout bounds the slowest legitimate
@@ -101,27 +102,28 @@ const (
 )
 
 func main() {
+	var cfg core.Config
+	flag.Uint64Var(&cfg.Seed, "seed", 2022, "study seed")
+	flag.IntVar(&cfg.NumSites, "sites", 50000, "number of websites in the universe")
+	flag.IntVar(&cfg.NumClients, "clients", 6000, "number of simulated clients")
+	flag.IntVar(&cfg.Days, "days", 28, "measurement window in days")
+	flag.IntVar(&cfg.Workers, "workers", 0, "simulation worker goroutines (0 = one per CPU, 1 = serial)")
+	flag.IntVar(&cfg.Vantages, "vantages", 1, "measurement vantage points (1 = transparent global only)")
+	flag.IntVar(&cfg.Backends, "backends", 1, "deployed CDN edge backends (1 = Cloudflare-style only)")
+	flag.BoolVar(&cfg.TrackAllCombos, "allcombos", false, "track all 21 Cloudflare filter-aggregation combinations")
+	flag.BoolVar(&cfg.Sketch.Enabled, "sketch", false, "aggregate through bounded mergeable sketches instead of exact state")
+	flag.Float64Var(&cfg.FaultRate, "faultrate", 0, "inject deterministic network faults at this rate (0..1)")
 	var (
-		addr       = flag.String("addr", "localhost:8650", "HTTP listen address for the v1 API")
-		seed       = flag.Uint64("seed", 2022, "study seed")
-		sites      = flag.Int("sites", 50000, "number of websites in the universe")
-		clients    = flag.Int("clients", 6000, "number of simulated clients")
-		days       = flag.Int("days", 28, "measurement window in days")
-		workers    = flag.Int("workers", 0, "simulation worker goroutines (0 = one per CPU, 1 = serial)")
-		vantages   = flag.Int("vantages", 1, "measurement vantage points (1 = transparent global only)")
-		backends   = flag.Int("backends", 1, "deployed CDN edge backends (1 = Cloudflare-style only)")
-		allCombos  = flag.Bool("allcombos", false, "track all 21 Cloudflare filter-aggregation combinations")
-		sketchMode = flag.Bool("sketch", false, "aggregate through bounded mergeable sketches instead of exact state")
-		faultRate  = flag.Float64("faultrate", 0, "inject deterministic network faults at this rate (0..1)")
-		tick       = flag.Duration("tick", 0, "advance one simulated day per interval (0 = manual advance only)")
-		ckptPath   = flag.String("checkpoint", "", "checkpoint directory for generations, recovery, and shutdown")
-		autoCkpt   = flag.Int("autocheckpoint", 0, "write a checkpoint generation every N advanced days (0 = off)")
-		retain     = flag.Int("retain", 5, "checkpoint generations to keep")
-		readyFile  = flag.String("readyfile", "", "write the bound HTTP address here once serving")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON run timeline here on shutdown")
-		debugAddr  = flag.String("debugaddr", "", "serve /metrics and /debug/pprof/ on this address")
-		quiet      = flag.Bool("quiet", false, "suppress diagnostics (errors still print)")
-		verbose    = flag.Bool("v", false, "verbose diagnostics")
+		addr      = flag.String("addr", "localhost:8650", "HTTP listen address for the v1 API")
+		tick      = flag.Duration("tick", 0, "advance one simulated day per interval (0 = manual advance only)")
+		ckptPath  = flag.String("checkpoint", "", "checkpoint directory for generations, recovery, and shutdown")
+		autoCkpt  = flag.Int("autocheckpoint", 0, "write a checkpoint generation every N advanced days (0 = off)")
+		retain    = flag.Int("retain", 5, "checkpoint generations to keep")
+		readyFile = flag.String("readyfile", "", "write the bound HTTP address here once serving")
+		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON run timeline here on shutdown")
+		debugAddr = flag.String("debugaddr", "", "serve /metrics and /debug/pprof/ on this address")
+		quiet     = flag.Bool("quiet", false, "suppress diagnostics (errors still print)")
+		verbose   = flag.Bool("v", false, "verbose diagnostics")
 	)
 	flag.Parse()
 
@@ -134,12 +136,8 @@ func main() {
 	}
 	log := obs.NewLogger(os.Stderr, level)
 
-	if *vantages < 1 || *vantages > world.MaxVantages {
-		log.Errorf("toplistsd: -vantages %d outside [1, %d]", *vantages, world.MaxVantages)
-		os.Exit(2)
-	}
-	if *backends < 1 || *backends > world.NumBackends {
-		log.Errorf("toplistsd: -backends %d outside [1, %d]", *backends, world.NumBackends)
+	if err := cfg.Validate(); err != nil {
+		log.Errorf("toplistsd: %v", err)
 		os.Exit(2)
 	}
 	if *autoCkpt > 0 && *ckptPath == "" {
@@ -148,6 +146,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
+	cfg.Obs = reg
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		tracer = obs.NewTracer(0)
@@ -173,11 +172,7 @@ func main() {
 		}
 	}
 
-	study, err := openStudy(studyFlags{
-		seed: *seed, sites: *sites, clients: *clients, days: *days,
-		workers: *workers, vantages: *vantages, backends: *backends,
-		allCombos: *allCombos, sketch: *sketchMode, faultRate: *faultRate,
-	}, ckptDir, reg, log)
+	study, err := openStudy(cfg, ckptDir, log)
 	if err != nil {
 		log.Errorf("toplistsd: %v", err)
 		os.Exit(1)
@@ -270,22 +265,15 @@ func main() {
 	}
 }
 
-type studyFlags struct {
-	seed                        uint64
-	sites, clients, days        int
-	workers, vantages, backends int
-	allCombos, sketch           bool
-	faultRate                   float64
-}
-
 // openStudy builds the resident study: recovery from the checkpoint
-// directory's newest intact generation, else a fresh day-zero study.
+// directory's newest intact generation, else a fresh day-zero study built
+// from cfg.
 // Recovery failure other than "nothing there yet" is fatal on purpose:
 // generations existed and none restored, and silently starting over
 // would discard the month.
-func openStudy(f studyFlags, ckptDir *snapshot.Dir, reg *obs.Registry, log *obs.Logger) (*core.Study, error) {
+func openStudy(cfg core.Config, ckptDir *snapshot.Dir, log *obs.Logger) (*core.Study, error) {
 	if ckptDir != nil {
-		rec, err := core.Recover(ckptDir, core.ResumeOptions{Workers: f.workers, Obs: reg}, log)
+		rec, err := core.Recover(ckptDir, core.ResumeOptions{Workers: cfg.Workers, Obs: cfg.Obs}, log)
 		switch {
 		case err == nil:
 			log.Infof("recovered generation %s at day %d/%d (%d candidate(s), %d rejected)",
@@ -299,19 +287,7 @@ func openStudy(f studyFlags, ckptDir *snapshot.Dir, reg *obs.Registry, log *obs.
 	}
 
 	start := time.Now()
-	study := core.NewStudy(core.Config{
-		Seed:           f.seed,
-		NumSites:       f.sites,
-		NumClients:     f.clients,
-		Days:           f.days,
-		TrackAllCombos: f.allCombos,
-		Workers:        f.workers,
-		Vantages:       f.vantages,
-		Backends:       f.backends,
-		FaultRate:      f.faultRate,
-		Sketch:         sketch.Config{Enabled: f.sketch},
-		Obs:            reg,
-	})
+	study := core.NewStudy(cfg)
 	log.Infof("%s (built in %v)", study.Describe(), time.Since(start).Round(time.Millisecond))
 	return study, nil
 }

@@ -226,9 +226,8 @@ func botContribution(f Filter, bb *traffic.BotBatch) int {
 type Pipeline struct {
 	traffic.BaseSink
 
-	w       *world.World
-	combos  []Combo
-	factory sketch.Factory
+	w      *world.World
+	combos []Combo
 
 	// Edge identity: the backend whose logs these are and the vantage they
 	// are observed from. A transparent vantage (full reach everywhere)
@@ -246,13 +245,13 @@ type Pipeline struct {
 	observes []bool
 
 	// Current-day state, one entry per tracked combo.
-	counts   [][]float64                 // combo -> site -> score
-	distinct []map[int32]sketch.Distinct // combo -> site -> counter (unique aggs)
+	counts   [][]float64               // combo -> site -> score
+	distinct []map[int32]*sketch.Exact // combo -> site -> counter (unique aggs)
 
 	// Sketch-mode state (see sketchmode.go): bounded summaries replacing
 	// the exact arrays. dayState accumulates the barrier's shard merges,
 	// botState the day's bot batches (merged last at EndDay).
-	sk       sketch.Config
+	sketched bool
 	dayState *pipelineShard
 	botState *pipelineShard
 	shardMem int
@@ -265,22 +264,18 @@ type Pipeline struct {
 
 // NewPipeline builds the primary pipeline — the transparent global vantage
 // observing the Cloudflare-style backend, the paper's configuration — for
-// the given combos. A nil factory defaults to exact distinct counting.
-func NewPipeline(w *world.World, combos []Combo, factory sketch.Factory) *Pipeline {
-	return NewEdgePipeline(w, combos, factory, w.Vantages()[0], world.BackendCdnflare)
+// the given combos.
+func NewPipeline(w *world.World, combos []Combo) *Pipeline {
+	return NewEdgePipeline(w, combos, w.Vantages()[0], world.BackendCdnflare)
 }
 
 // NewEdgePipeline builds the edge-log pipeline of one (vantage, backend)
 // pair: it observes the sites on the backend, filtered by the vantage's
-// per-country reach. A nil factory defaults to exact distinct counting.
-func NewEdgePipeline(w *world.World, combos []Combo, factory sketch.Factory, v world.Vantage, b world.Backend) *Pipeline {
-	if factory == nil {
-		factory = sketch.ExactFactory
-	}
+// per-country reach.
+func NewEdgePipeline(w *world.World, combos []Combo, v world.Vantage, b world.Backend) *Pipeline {
 	p := &Pipeline{
 		w:           w,
 		combos:      combos,
-		factory:     factory,
 		vantage:     v,
 		backend:     b,
 		transparent: v.Transparent(),
@@ -291,12 +286,12 @@ func NewEdgePipeline(w *world.World, combos []Combo, factory sketch.Factory, v w
 		p.observes[i] = w.Site(int32(i)).OnBackend(b)
 	}
 	p.counts = make([][]float64, len(combos))
-	p.distinct = make([]map[int32]sketch.Distinct, len(combos))
+	p.distinct = make([]map[int32]*sketch.Exact, len(combos))
 	for i, c := range combos {
 		if c.Agg == AggCount {
 			p.counts[i] = make([]float64, w.NumSites())
 		} else {
-			p.distinct[i] = make(map[int32]sketch.Distinct)
+			p.distinct[i] = make(map[int32]*sketch.Exact)
 		}
 	}
 	return p
@@ -362,7 +357,7 @@ func reachMix(seed, a, b uint64) uint64 {
 
 // BeginDay implements traffic.Sink.
 func (p *Pipeline) BeginDay(day int, weekend bool) {
-	if p.sk.Enabled {
+	if p.sketched {
 		return // day and bot summaries are reset at EndDay
 	}
 	for i := range p.combos {
@@ -402,7 +397,7 @@ func (p *Pipeline) OnPageLoad(pl *traffic.PageLoad) {
 // goroutine after the day's barrier; in sketch mode they accumulate in a
 // dedicated summary that EndDay merges after the shard states.
 func (p *Pipeline) OnBotBatch(bb *traffic.BotBatch) {
-	if p.sk.Enabled {
+	if p.sketched {
 		p.botState.onBotBatch(bb)
 		return
 	}
@@ -447,7 +442,7 @@ func ipua(ip uint32, ua uint64) uint64 {
 func (p *Pipeline) addDistinct(combo int, site int32, key uint64) {
 	d, ok := p.distinct[combo][site]
 	if !ok {
-		d = p.factory()
+		d = sketch.NewExact()
 		p.distinct[combo][site] = d
 	}
 	d.Add(key)
@@ -455,7 +450,7 @@ func (p *Pipeline) addDistinct(combo int, site int32, key uint64) {
 
 // EndDay implements traffic.Sink: it freezes the day's ranked lists.
 func (p *Pipeline) EndDay(day int) {
-	if p.sk.Enabled {
+	if p.sketched {
 		p.endDaySketch(day)
 		return
 	}

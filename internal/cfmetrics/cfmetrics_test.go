@@ -12,7 +12,7 @@ func runPipeline(t testing.TB, combos []Combo, days int) (*world.World, *Pipelin
 	t.Helper()
 	w := world.Generate(world.Config{Seed: 21, NumSites: 2000})
 	e := traffic.NewEngine(w, traffic.Config{Seed: 22, NumClients: 500, Days: days})
-	p := NewPipeline(w, combos, nil)
+	p := NewPipeline(w, combos)
 	e.AddSink(p)
 	e.Run()
 	return w, p
@@ -194,7 +194,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func BenchmarkPipelineDay(b *testing.B) {
 	w := world.Generate(world.Config{Seed: 1, NumSites: 5000})
 	e := traffic.NewEngine(w, traffic.Config{Seed: 2, NumClients: 800, Days: 28})
-	p := NewPipeline(w, MetricCombos(), nil)
+	p := NewPipeline(w, MetricCombos())
 	e.AddSink(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

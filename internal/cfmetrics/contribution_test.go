@@ -94,7 +94,7 @@ func TestFilterAndAggStrings(t *testing.T) {
 
 func TestPipelineTracks(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 1, NumSites: 50})
-	p := NewPipeline(w, []Combo{{FilterAll, AggCount}}, nil)
+	p := NewPipeline(w, []Combo{{FilterAll, AggCount}})
 	if !p.Tracks(Combo{FilterAll, AggCount}) {
 		t.Error("tracked combo reported untracked")
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"toplists/internal/sketch"
 	"toplists/internal/snapshot"
 	"toplists/internal/world"
 )
@@ -26,9 +25,8 @@ type PipelineSet struct {
 // NewPipelineSet builds the pipeline grid for the world's configured
 // vantages and backends. The primary pipeline tracks primaryCombos (the
 // full combo study of the paper); every other pipeline tracks extraCombos
-// (typically the seven canonical metrics). A nil factory defaults to exact
-// distinct counting.
-func NewPipelineSet(w *world.World, primaryCombos, extraCombos []Combo, factory sketch.Factory) *PipelineSet {
+// (typically the seven canonical metrics).
+func NewPipelineSet(w *world.World, primaryCombos, extraCombos []Combo) *PipelineSet {
 	vantages := w.Vantages()
 	backends := w.Backends()
 	ps := &PipelineSet{
@@ -43,7 +41,7 @@ func NewPipelineSet(w *world.World, primaryCombos, extraCombos []Combo, factory 
 			if vi == 0 && bi == 0 {
 				combos = primaryCombos
 			}
-			ps.pipes[vi][bi] = NewEdgePipeline(w, combos, factory, v, b)
+			ps.pipes[vi][bi] = NewEdgePipeline(w, combos, v, b)
 		}
 	}
 	return ps
@@ -109,10 +107,10 @@ func (ps *PipelineSet) Extras() []*Pipeline {
 
 // SetSketch switches every pipeline in the grid to sketch-backed
 // aggregation. Must be called before the simulation starts.
-func (ps *PipelineSet) SetSketch(cfg sketch.Config) {
+func (ps *PipelineSet) SetSketch() {
 	for vi := range ps.pipes {
 		for bi := range ps.pipes[vi] {
-			ps.pipes[vi][bi].SetSketch(cfg)
+			ps.pipes[vi][bi].SetSketch()
 		}
 	}
 }

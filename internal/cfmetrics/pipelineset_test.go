@@ -23,7 +23,7 @@ func multiEdgeWorld(t testing.TB, vantages, backends int) *world.World {
 func runPipelineSet(t testing.TB, vantages, backends, days int) (*world.World, *PipelineSet) {
 	t.Helper()
 	w := multiEdgeWorld(t, vantages, backends)
-	ps := NewPipelineSet(w, AllCombos(), MetricCombos(), nil)
+	ps := NewPipelineSet(w, AllCombos(), MetricCombos())
 	e := traffic.NewEngine(w, traffic.Config{Seed: 22, NumClients: 500, Days: days})
 	e.AddSink(ps.Primary())
 	for _, p := range ps.Extras() {
@@ -35,7 +35,7 @@ func runPipelineSet(t testing.TB, vantages, backends, days int) (*world.World, *
 
 func TestPipelineSetShape(t *testing.T) {
 	w := multiEdgeWorld(t, 3, 2)
-	ps := NewPipelineSet(w, AllCombos(), MetricCombos(), nil)
+	ps := NewPipelineSet(w, AllCombos(), MetricCombos())
 	if len(ps.Vantages()) != 3 || len(ps.Backends()) != 2 {
 		t.Fatalf("grid is %dx%d, want 3x2", len(ps.Vantages()), len(ps.Backends()))
 	}
@@ -123,7 +123,7 @@ func TestPipelineSetSnapshotRoundTrip(t *testing.T) {
 	w, ps := runPipelineSet(t, 3, 2, 2)
 	snap := setSnap(t, ps)
 
-	ps2 := NewPipelineSet(w, AllCombos(), MetricCombos(), nil)
+	ps2 := NewPipelineSet(w, AllCombos(), MetricCombos())
 	if err := ps2.Restore(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPipelineSetRestoreRejectsDamage(t *testing.T) {
 
 	t.Run("truncation", func(t *testing.T) {
 		for _, n := range []int{0, 1, len(snap) / 2, len(snap) - 1} {
-			ps2 := NewPipelineSet(w, AllCombos(), MetricCombos(), nil)
+			ps2 := NewPipelineSet(w, AllCombos(), MetricCombos())
 			if err := ps2.Restore(bytes.NewReader(snap[:n])); err == nil {
 				t.Fatalf("restore accepted %d/%d bytes", n, len(snap))
 			}
@@ -166,14 +166,14 @@ func TestPipelineSetRestoreRejectsDamage(t *testing.T) {
 	t.Run("version-skew", func(t *testing.T) {
 		bad := append([]byte{}, snap...)
 		bad[0] = pipelineSetSnapVersion + 1
-		ps2 := NewPipelineSet(w, AllCombos(), MetricCombos(), nil)
+		ps2 := NewPipelineSet(w, AllCombos(), MetricCombos())
 		if err := ps2.Restore(bytes.NewReader(bad)); !errors.Is(err, snapshot.ErrVersion) {
 			t.Fatalf("version skew error = %v, want ErrVersion", err)
 		}
 	})
 	t.Run("shape-mismatch", func(t *testing.T) {
 		w2 := multiEdgeWorld(t, 2, 2)
-		ps2 := NewPipelineSet(w2, AllCombos(), MetricCombos(), nil)
+		ps2 := NewPipelineSet(w2, AllCombos(), MetricCombos())
 		if err := ps2.Restore(bytes.NewReader(snap)); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("shape mismatch error = %v, want ErrCorrupt", err)
 		}

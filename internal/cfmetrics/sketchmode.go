@@ -41,10 +41,10 @@ func (p *Pipeline) newPipelineShard() *pipelineShard {
 	}
 	for i, c := range p.combos {
 		if c.Agg == AggCount {
-			sh.ss[i] = p.sk.NewTopK()
-			sh.cm[i] = p.sk.NewCountMin()
+			sh.ss[i] = sketch.NewShardTopK()
+			sh.cm[i] = sketch.NewShardCountMin()
 		} else {
-			sh.tkd[i] = p.sk.NewTopKDistinct()
+			sh.tkd[i] = sketch.NewShardTopKDistinct()
 		}
 	}
 	return sh
@@ -148,11 +148,8 @@ func (sh *pipelineShard) memBytes() int {
 
 // SetSketch switches the pipeline to sketch-backed aggregation. Must be
 // called before the simulation starts; the exact per-site state is released.
-func (p *Pipeline) SetSketch(cfg sketch.Config) {
-	if !cfg.Enabled {
-		return
-	}
-	p.sk = cfg.WithDefaults()
+func (p *Pipeline) SetSketch() {
+	p.sketched = true
 	p.counts = nil
 	p.distinct = nil
 	p.dayState = p.newPipelineShard()
@@ -160,7 +157,7 @@ func (p *Pipeline) SetSketch(cfg sketch.Config) {
 }
 
 // SketchEnabled reports whether the pipeline aggregates through sketches.
-func (p *Pipeline) SketchEnabled() bool { return p.sk.Enabled }
+func (p *Pipeline) SketchEnabled() bool { return p.sketched }
 
 // NewShardState implements traffic.ShardedSink.
 func (p *Pipeline) NewShardState() traffic.ShardState {

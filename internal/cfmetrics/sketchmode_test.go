@@ -14,10 +14,9 @@ import (
 func runSketchPipeline(t testing.TB, combos []Combo, days int) *Pipeline {
 	t.Helper()
 	w := world.Generate(world.Config{Seed: 21, NumSites: 2000})
-	sk := sketch.Config{Enabled: true}.WithDefaults()
-	e := traffic.NewEngine(w, traffic.Config{Seed: 22, NumClients: 500, Days: days, Sketch: sk})
-	p := NewPipeline(w, combos, nil)
-	p.SetSketch(sk)
+	e := traffic.NewEngine(w, traffic.Config{Seed: 22, NumClients: 500, Days: days, Sketch: sketch.Config{Enabled: true}})
+	p := NewPipeline(w, combos)
+	p.SetSketch()
 	e.AddSink(p)
 	e.Run()
 	return p
@@ -86,8 +85,8 @@ func TestSketchUniqueMetricsAgree(t *testing.T) {
 // page loads allocates nothing.
 func TestSketchShardHotPathZeroAllocs(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 21, NumSites: 2000})
-	p := NewPipeline(w, MetricCombos(), nil)
-	p.SetSketch(sketch.Config{Enabled: true})
+	p := NewPipeline(w, MetricCombos())
+	p.SetSketch()
 	sh := p.NewShardState()
 
 	cl := &traffic.Client{ID: 7, UA: 0x9e3779b97f4a7c15}

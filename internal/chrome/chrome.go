@@ -71,7 +71,7 @@ type Telemetry struct {
 
 	// Sketch mode (see sketchmode.go): shard states mirror the accumulators
 	// and visitor counters become coarse HLLs.
-	sk       sketch.Config
+	sketched bool
 	shardMem int
 	memPeak  int
 }

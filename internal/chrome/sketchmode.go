@@ -19,13 +19,13 @@ const cruxHLLPrecision = 6
 
 // SetSketch switches the collector to sketch-backed aggregation. Must be
 // called before the simulation starts.
-func (t *Telemetry) SetSketch(cfg sketch.Config) {
-	t.sk = cfg
+func (t *Telemetry) SetSketch() {
+	t.sketched = true
 }
 
 // newDistinct builds a visitor counter for the current mode.
 func (t *Telemetry) newDistinct() sketch.Distinct {
-	if t.sk.Enabled {
+	if t.sketched {
 		return sketch.NewHLL(cruxHLLPrecision)
 	}
 	return sketch.NewExact()

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"toplists/internal/obs"
-	"toplists/internal/sketch"
 	"toplists/internal/snapshot"
 	"toplists/internal/traffic"
 )
@@ -45,7 +44,7 @@ const (
 )
 
 const (
-	metaSnapVersion   = 2
+	metaSnapVersion   = 3
 	engineSnapVersion = 1
 	obsSnapVersion    = 1
 )
@@ -100,19 +99,10 @@ func (s *Study) snapshotMeta(w io.Writer) error {
 	e.Int(cfg.NumSites)
 	e.Int(cfg.NumClients)
 	e.Int(cfg.Days)
-	e.Int(cfg.CruxMinVisitors)
 	e.Bool(cfg.TrackAllCombos)
 	e.Int(cfg.EvalMagIdx)
-	e.Int(cfg.SpearmanMagIdx)
 	e.F64(cfg.FaultRate)
-	e.Uvarint(cfg.FaultSeed)
 	e.Bool(cfg.Sketch.Enabled)
-	e.Int(cfg.Sketch.Shards)
-	e.Int(cfg.Sketch.TopK)
-	e.Int(cfg.Sketch.CMWidth)
-	e.Int(cfg.Sketch.CMDepth)
-	e.Uvarint(uint64(cfg.Sketch.HLLPrecision))
-	e.Int(cfg.Sketch.ProfileK)
 	e.Bool(cfg.Ablate.NoPrivateBrowsing)
 	e.Bool(cfg.Ablate.NoOpenness)
 	e.Bool(cfg.Ablate.NoWeightBoost)
@@ -145,21 +135,10 @@ func decodeMeta(b []byte) (Config, error) {
 	cfg.NumSites = d.Int()
 	cfg.NumClients = d.Int()
 	cfg.Days = d.Int()
-	cfg.CruxMinVisitors = d.Int()
 	cfg.TrackAllCombos = d.Bool()
 	cfg.EvalMagIdx = d.Int()
-	cfg.SpearmanMagIdx = d.Int()
 	cfg.FaultRate = d.F64()
-	cfg.FaultSeed = d.Uvarint()
-	cfg.Sketch = sketch.Config{
-		Enabled:      d.Bool(),
-		Shards:       d.Int(),
-		TopK:         d.Int(),
-		CMWidth:      d.Int(),
-		CMDepth:      d.Int(),
-		HLLPrecision: uint8(d.Uvarint()),
-		ProfileK:     d.Int(),
-	}
+	cfg.Sketch.Enabled = d.Bool()
 	cfg.Ablate = Ablations{
 		NoPrivateBrowsing: d.Bool(),
 		NoOpenness:        d.Bool(),
@@ -253,7 +232,8 @@ type ResumeOptions struct {
 // The world is regenerated from the snapshotted config (cheaper and
 // safer than persisting it), then every component is restored and
 // cross-validated. On any error — bad magic, version skew, checksum or
-// framing corruption, inconsistent day counts — the partially restored
+// framing corruption, a config that fails Validate, inconsistent day
+// counts — the partially restored
 // study is closed and discarded, and nil is returned: no partial restore
 // is ever observable. The resumed study continues exactly where the
 // original stopped: the next AdvanceDay simulates day k, and a study
@@ -270,6 +250,11 @@ func Resume(r io.Reader, opt ResumeOptions) (*Study, error) {
 	cfg, err := decodeMeta(metaPayload)
 	if err != nil {
 		return nil, err
+	}
+	// A checksum-valid meta frame can still carry a configuration NewStudy
+	// would panic on; reject it like any other damage.
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: meta: %w", snapshot.ErrCorrupt, err)
 	}
 	cfg.Workers = opt.Workers
 	cfg.Obs = opt.Obs

@@ -52,8 +52,8 @@ func TestProbeHostsContextCanceled(t *testing.T) {
 	}
 }
 
-// TestFaultPlanDerivation: the fault seed is stable per study seed,
-// distinct across seeds, and overridable.
+// TestFaultPlanDerivation: the fault seed is stable per study seed and
+// distinct across seeds.
 func TestFaultPlanDerivation(t *testing.T) {
 	a := NewStudy(Config{Seed: 1, NumSites: 400, FaultRate: 0.1})
 	b := NewStudy(Config{Seed: 1, NumSites: 400, FaultRate: 0.1})
@@ -63,10 +63,6 @@ func TestFaultPlanDerivation(t *testing.T) {
 	}
 	if a.FaultSeed() == c.FaultSeed() {
 		t.Error("different study seeds derived the same fault seed")
-	}
-	d := NewStudy(Config{Seed: 1, NumSites: 400, FaultRate: 0.1, FaultSeed: 99})
-	if d.FaultSeed() != 99 {
-		t.Errorf("FaultSeed override ignored: %d", d.FaultSeed())
 	}
 	if NewStudy(Config{Seed: 1, NumSites: 400}).FaultPlan() != nil {
 		t.Error("rate-0 study has a fault plan")

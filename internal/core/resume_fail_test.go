@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,5 +163,92 @@ func TestResumePartialFailureReleasesEverything(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// metaFrame returns the checkpoint's meta frame.
+func metaFrame(t *testing.T, b []byte) snapshot.Frame {
+	t.Helper()
+	frames, err := snapshot.Scan(b)
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if frames[0].Name != compMeta {
+		t.Fatalf("first frame is %q, want %q", frames[0].Name, compMeta)
+	}
+	return frames[0]
+}
+
+// withNegativeSites rewrites the meta frame's NumSites to -1 and fixes the
+// frame checksum, so only semantic validation can catch it. NumSites
+// follows the version and seed uvarints; -1 zig-zags to 1, written as a
+// padded varint of the original field's width so no length changes.
+func withNegativeSites(t *testing.T, b []byte) []byte {
+	t.Helper()
+	b = bytes.Clone(b)
+	meta := metaFrame(t, b)
+	off := meta.PayloadOff
+	for range 2 { // version, seed
+		_, n := binary.Uvarint(b[off:])
+		off += n
+	}
+	_, width := binary.Varint(b[off:])
+	for i := range width {
+		b[off+i] = 0x80
+	}
+	b[off] |= 1
+	b[off+width-1] &^= 0x80
+	if v, n := binary.Varint(b[off:]); v != -1 || n != width {
+		t.Fatalf("patched NumSites decodes as %d over %d bytes, want -1 over %d", v, n, width)
+	}
+	snapshot.FixCRC(b, meta)
+	return b
+}
+
+// TestResumeRejectsInvalidMeta: a checksum-valid meta frame whose config
+// fails Validate makes Resume return an error instead of panicking inside
+// NewStudy, and the recovery supervisor skips that generation for the
+// previous one. A meta frame of the previous payload version is rejected
+// as version skew.
+func TestResumeRejectsInvalidMeta(t *testing.T) {
+	dir := checkpointedDir(t, checkpointCfg(67, 4, false), 2)
+	newest, err := dir.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(newest.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bad := withNegativeSites(t, good)
+	r, err := Resume(bytes.NewReader(bad), ResumeOptions{Workers: 1})
+	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "sites -1 negative") {
+		t.Fatalf("Resume of NumSites = -1 meta: %v, want ErrCorrupt naming the field", err)
+	}
+	if r != nil {
+		t.Fatal("Resume returned a study alongside an error")
+	}
+
+	old := bytes.Clone(good)
+	meta := metaFrame(t, old)
+	old[meta.PayloadOff] = metaSnapVersion - 1
+	snapshot.FixCRC(old, meta)
+	if _, err := Resume(bytes.NewReader(old), ResumeOptions{Workers: 1}); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("Resume of a v%d meta: %v, want ErrVersion", metaSnapVersion-1, err)
+	}
+
+	damage(t, newest.Path, func([]byte) []byte { return bad })
+	reg := obs.NewRegistry()
+	rec, err := Recover(dir, ResumeOptions{Workers: 1, Obs: reg}, nil)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer rec.Study.Close()
+	if rec.Gen.Seq != 1 || rec.Rejected != 1 || rec.Study.Day() != 1 {
+		t.Fatalf("Recover = %+v at day %d, want fallback to generation 1", rec, rec.Study.Day())
+	}
+	if got := reg.Snapshot().Volatile["recovery.rejected"]; got < 1 {
+		t.Fatalf("recovery.rejected = %d, want >= 1", got)
 	}
 }

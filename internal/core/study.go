@@ -38,8 +38,6 @@ type Config struct {
 	NumClients int
 	// Days is the measurement window (default 28, February 2022).
 	Days int
-	// CruxMinVisitors is the CrUX privacy threshold (default 2).
-	CruxMinVisitors int
 	// TrackAllCombos enables all 21 filter-aggregation combinations in the
 	// Cloudflare pipeline (needed for Figure 8); the seven canonical
 	// metrics are always tracked.
@@ -49,33 +47,27 @@ type Config struct {
 	// paper compares million-entry lists drawn from a quarter-billion-
 	// domain web; in a compressed simulated universe the same head-vs-tail
 	// tension lives at a smaller fraction of the universe, so the default
-	// is index 2 (the scaled "100K"). See DESIGN.md, "Scale".
+	// is index 2 (the scaled "100K"); rank correlations always run at the
+	// full scaled list (SpearmanK). See DESIGN.md, "Evaluation-scale
+	// adaptations".
 	EvalMagIdx int
 	// Workers is the number of goroutines simulating clients within each
 	// day, and the evaluation pool width for experiments.RunConcurrent
 	// (0 = one per CPU, 1 = serial). Output is identical for every
 	// setting; see traffic.Config.Workers.
 	Workers int
-	// SpearmanMagIdx selects the magnitude for rank-correlation
-	// comparisons (default 3, the full scaled list). The paper's single
-	// top-1M cut is simultaneously a tiny fraction of the web (set
-	// scarcity) and the full depth of every list (rank-noise exposure); a
-	// compressed universe needs two cuts to express both regimes.
-	SpearmanMagIdx int
 	// FaultRate enables deterministic fault injection across the virtual
 	// network: the fraction (0..1) of probe attempts that hit an injected
 	// failure — refused/reset/truncated/stalled dials, 5xx edge responses.
 	// 0 (the default) leaves the network byte-identical to a study built
-	// before fault injection existed.
+	// before fault injection existed. The plan's seed derives from Seed
+	// (Study.FaultSeed).
 	FaultRate float64
-	// FaultSeed keys the fault plan independently of the study seed
-	// (0 = derive from Seed), so fault-sensitivity sweeps can vary the
-	// weather while holding the world fixed.
-	FaultSeed uint64
 	// Sketch switches the aggregation layer to bounded mergeable summaries
 	// (see internal/sketch): each logical traffic shard accumulates
 	// fixed-size sketches that merge at the day barrier, instead of the
 	// engine replaying per-event buffers into exact per-site state. The
+	// summaries' dimensions are fixed constants of internal/sketch. The
 	// zero value (Enabled false) is the exact oracle, byte-identical to a
 	// study built before the sketch layer existed.
 	Sketch sketch.Config
@@ -112,6 +104,52 @@ type Ablations struct {
 	NoRevisits        bool
 }
 
+const (
+	// cruxMinVisitors is the CrUX per-country privacy threshold.
+	cruxMinVisitors = 2
+	// spearmanMagIdx selects the magnitude for rank-correlation
+	// comparisons: the full scaled list. The paper's single top-1M cut is
+	// simultaneously a tiny fraction of the web (set scarcity) and the full
+	// depth of every list (rank-noise exposure); a compressed universe
+	// needs two cuts to express both regimes, EvalMagIdx and this one.
+	spearmanMagIdx = 3
+)
+
+// Validate reports the first invalid field as an error naming it. Zero
+// fields are valid (they take defaults); out-of-range values are rejected
+// here rather than silently clamped or left to panic downstream. Every
+// entry point checks through it: the toplists facade, both CLIs, and
+// Resume for configurations decoded from a checkpoint. NewStudy panics on
+// a configuration that fails it.
+func (c Config) Validate() error {
+	mags := len(rank.Bucketer{}.Magnitudes)
+	switch {
+	case c.NumSites < 0:
+		return fmt.Errorf("core: sites %d negative", c.NumSites)
+	case c.NumClients < 0:
+		return fmt.Errorf("core: clients %d negative", c.NumClients)
+	case c.Days < 0:
+		return fmt.Errorf("core: days %d negative", c.Days)
+	case c.Workers < 0:
+		return fmt.Errorf("core: workers %d negative", c.Workers)
+	case c.EvalMagIdx < 0 || c.EvalMagIdx >= mags:
+		return fmt.Errorf("core: eval magnitude index %d outside [0, %d)", c.EvalMagIdx, mags)
+	case !(c.FaultRate >= 0 && c.FaultRate <= 1):
+		return fmt.Errorf("core: fault rate %v outside [0, 1]", c.FaultRate)
+	case c.Vantages < 0 || c.Vantages > world.MaxVantages:
+		return fmt.Errorf("core: vantages %d outside [0, %d]", c.Vantages, world.MaxVantages)
+	case c.Backends < 0 || c.Backends > world.NumBackends:
+		return fmt.Errorf("core: backends %d outside [0, %d]", c.Backends, world.NumBackends)
+	}
+	sites := c.withDefaults().NumSites
+	for _, sy := range c.Sybils {
+		if sy.Site < 0 || int(sy.Site) >= sites {
+			return fmt.Errorf("core: sybil target site %d outside [0, %d)", sy.Site, sites)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.NumSites == 0 {
 		c.NumSites = 10_000
@@ -122,17 +160,8 @@ func (c Config) withDefaults() Config {
 	if c.Days == 0 {
 		c.Days = 28
 	}
-	if c.CruxMinVisitors == 0 {
-		c.CruxMinVisitors = 2
-	}
 	if c.EvalMagIdx == 0 {
 		c.EvalMagIdx = 2
-	}
-	if c.SpearmanMagIdx == 0 {
-		c.SpearmanMagIdx = 3
-	}
-	if c.Sketch.Enabled {
-		c.Sketch = c.Sketch.WithDefaults()
 	}
 	if c.Vantages <= 0 {
 		c.Vantages = 1
@@ -216,8 +245,11 @@ var ErrStudyAborted = errors.New("core: study aborted by failed day advancement"
 var ErrStudyClosed = errors.New("core: study closed")
 
 // NewStudy builds the world and wires every observer. Run must be called
-// before reading lists or metrics.
+// before reading lists or metrics. It panics if cfg fails Validate.
 func NewStudy(cfg Config) *Study {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	reg := cfg.Obs
 	if reg == nil {
@@ -257,7 +289,7 @@ func NewStudy(cfg Config) *Study {
 	// (0, 0) is the paper's Cloudflare pipeline, wired exactly as before;
 	// under the default 1-vantage, 1-backend config the grid has no extras
 	// and the event path is unchanged.
-	s.Edges = cfmetrics.NewPipelineSet(w, combos, cfmetrics.MetricCombos(), nil)
+	s.Edges = cfmetrics.NewPipelineSet(w, combos, cfmetrics.MetricCombos())
 	s.Pipeline = s.Edges.Primary()
 	// Each vantage runs its own caching resolver over the shared authority,
 	// so DNS-side cache warmth diverges per vantage.
@@ -272,13 +304,10 @@ func NewStudy(cfg Config) *Study {
 	s.Majestic = providers.NewMajestic(w, s.Graph)
 	s.Secrank = providers.NewSecrank(w, l)
 	if cfg.Sketch.Enabled {
-		s.Pipeline.SetSketch(cfg.Sketch)
-		for _, p := range s.Edges.Extras() {
-			p.SetSketch(cfg.Sketch)
-		}
-		s.Telemetry.SetSketch(cfg.Sketch)
-		s.Umbrella.SetSketch(cfg.Sketch)
-		s.Secrank.SetSketch(cfg.Sketch)
+		s.Edges.SetSketch()
+		s.Telemetry.SetSketch()
+		s.Umbrella.SetSketch()
+		s.Secrank.SetSketch()
 		// All sketch gauges are pure functions of (Seed, Config): logical
 		// footprints and error bounds, not process measurements.
 		reg.GaugeFunc("sketch.cf.mem_peak_bytes", func() int64 { return int64(s.Pipeline.SketchMemPeak()) })
@@ -473,7 +502,7 @@ func (s *Study) cruxLocked() *providers.Crux {
 		if s.Crux != nil {
 			s.artifacts.norms.InvalidateList(s.Crux.Name())
 		}
-		s.Crux = providers.NewCrux(s.Telemetry, s.Cfg.CruxMinVisitors, s.Bucketer)
+		s.Crux = providers.NewCrux(s.Telemetry, cruxMinVisitors, s.Bucketer)
 		s.cruxDay = day
 	}
 	return s.Crux
@@ -549,13 +578,10 @@ func (s *Study) CFDomains() map[string]struct{} {
 	return s.artifacts.CFDomains()
 }
 
-// FaultSeed returns the seed keying the study's fault plan: the
-// configured override, or a stream derived from the study seed so two
-// studies with equal seeds see identical weather.
+// FaultSeed returns the seed keying the study's fault plan: a stream
+// derived from the study seed, so two studies with equal seeds see
+// identical weather.
 func (s *Study) FaultSeed() uint64 {
-	if s.Cfg.FaultSeed != 0 {
-		return s.Cfg.FaultSeed
-	}
 	return simrand.New(s.Cfg.Seed).Derive("faults").Uint64()
 }
 
@@ -674,7 +700,7 @@ func (s *Study) EvalK() int {
 
 // SpearmanK returns the magnitude at which rank correlations run.
 func (s *Study) SpearmanK() int {
-	return s.Bucketer.Magnitudes[s.Cfg.SpearmanMagIdx]
+	return s.Bucketer.Magnitudes[spearmanMagIdx]
 }
 
 // Describe summarizes the run for logs.

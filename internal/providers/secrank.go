@@ -38,7 +38,7 @@ type Secrank struct {
 
 	// Sketch mode (see sketchmode.go): bounded per-IP profile summaries
 	// replace the perIP maps, merged into dayProfiles at the barrier.
-	sk          sketch.Config
+	sketched    bool
 	dayProfiles map[uint32]*sketch.SpaceSaving
 	profilePool []*sketch.SpaceSaving
 	shardMem    int
@@ -80,7 +80,7 @@ func (s *Secrank) Bucketed() bool { return false }
 
 // BeginDay implements traffic.Sink.
 func (s *Secrank) BeginDay(day int, weekend bool) {
-	if s.sk.Enabled {
+	if s.sketched {
 		return
 	}
 	s.perIP = make(map[uint32]map[names.ID]int)
@@ -111,7 +111,7 @@ func (s *Secrank) OnDNSQuery(q *traffic.DNSQuery) {
 
 // EndDay implements traffic.Sink: run the per-IP voting round.
 func (s *Secrank) EndDay(day int) {
-	if s.sk.Enabled {
+	if s.sketched {
 		s.endDaySketch(day)
 		return
 	}

@@ -14,7 +14,8 @@ import (
 // Sketch mode for the DNS-fed providers. Each provider implements
 // traffic.ShardedSink: one bounded summary per logical traffic shard,
 // merged at the day barrier in canonical shard order (see traffic.Config.
-// Sketch). The shard states never touch the shared name interner — worker
+// Sketch). SetSketch must be called before the engine asks for shard
+// states. The shard states never touch the shared name interner — worker
 // goroutines key sketches by a stable hash of the name string (or by
 // run-stable IDs) and the serial barrier/EndDay path resolves names to
 // interned IDs, so output is byte-identical at every worker count.
@@ -56,23 +57,17 @@ type umbrellaShard struct {
 
 // SetSketch switches the provider to sketch-backed aggregation. Must be
 // called before the simulation starts.
-func (u *Umbrella) SetSketch(cfg sketch.Config) {
-	if !cfg.Enabled {
-		return
-	}
-	u.sk = cfg.WithDefaults()
-	u.dayTKD = u.sk.NewTopKDistinct()
+func (u *Umbrella) SetSketch() {
+	u.sketched = true
+	u.dayTKD = sketch.NewShardTopKDistinct()
 	u.nameOf = make(map[uint64]string)
 }
 
 // NewShardState implements traffic.ShardedSink.
 func (u *Umbrella) NewShardState() traffic.ShardState {
-	if !u.sk.Enabled {
-		u.SetSketch(sketch.Config{Enabled: true})
-	}
 	return &umbrellaShard{
 		u:          u,
-		tkd:        u.sk.NewTopKDistinct(),
+		tkd:        sketch.NewShardTopKDistinct(),
 		hostHash:   make(map[hostKey]uint64),
 		suffixHash: make(map[uint64]uint64),
 		nameOf:     make(map[uint64]string),
@@ -177,19 +172,13 @@ type secrankShard struct {
 }
 
 // SetSketch switches the provider to sketch-backed aggregation.
-func (s *Secrank) SetSketch(cfg sketch.Config) {
-	if !cfg.Enabled {
-		return
-	}
-	s.sk = cfg.WithDefaults()
+func (s *Secrank) SetSketch() {
+	s.sketched = true
 	s.dayProfiles = make(map[uint32]*sketch.SpaceSaving)
 }
 
 // NewShardState implements traffic.ShardedSink.
 func (s *Secrank) NewShardState() traffic.ShardState {
-	if !s.sk.Enabled {
-		s.SetSketch(sketch.Config{Enabled: true})
-	}
 	return &secrankShard{s: s, profiles: make(map[uint32]*sketch.SpaceSaving)}
 }
 
@@ -224,7 +213,7 @@ func (ss *secrankShard) alloc() *sketch.SpaceSaving {
 		ss.pool = ss.pool[:n-1]
 		return p
 	}
-	return ss.s.sk.NewProfile()
+	return sketch.NewShardProfile()
 }
 
 // Reset implements traffic.ShardState, recycling the profile summaries.
@@ -277,13 +266,13 @@ func (s *Secrank) allocProfile() *sketch.SpaceSaving {
 		s.profilePool = s.profilePool[:n-1]
 		return p
 	}
-	return s.sk.NewProfile()
+	return sketch.NewShardProfile()
 }
 
 // endDaySketch runs the voting round over the bounded profiles. IPs vote in
 // sorted order so the floating-point vote sums are a pure function of the
 // profiles, not of map iteration. Profile truncation caps an IP's observed
-// diversity at ProfileK — by design: one more way the reconstruction is an
+// diversity at the profile capacity — by design: one more way the reconstruction is an
 // approximation of an approximation.
 func (s *Secrank) endDaySketch(day int) {
 	ips := make([]uint32, 0, len(s.dayProfiles))

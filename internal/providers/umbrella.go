@@ -45,7 +45,7 @@ type Umbrella struct {
 
 	// Sketch mode (see sketchmode.go): bounded per-shard summaries replace
 	// the ips sets, merged into dayTKD at the barrier.
-	sk       sketch.Config
+	sketched bool
 	dayTKD   *sketch.TopKDistinct
 	nameOf   map[uint64]string
 	shardMem int
@@ -77,7 +77,7 @@ func (u *Umbrella) Bucketed() bool { return false }
 
 // BeginDay implements traffic.Sink.
 func (u *Umbrella) BeginDay(day int, weekend bool) {
-	if u.sk.Enabled {
+	if u.sketched {
 		return
 	}
 	u.ips = make(map[names.ID]map[uint32]struct{})
@@ -166,7 +166,7 @@ func (u *Umbrella) credit(id names.ID, ip uint32) {
 
 // EndDay implements traffic.Sink.
 func (u *Umbrella) EndDay(day int) {
-	if u.sk.Enabled {
+	if u.sketched {
 		u.endDaySketch(day)
 		return
 	}

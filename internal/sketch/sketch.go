@@ -1,14 +1,15 @@
 // Package sketch provides mergeable, memory-bounded stream summaries for
 // the aggregation pipeline: exact and HyperLogLog distinct counters behind
 // the Distinct interface, a count-min frequency sketch (CountMin), and a
-// space-saving top-k summary (SpaceSaving), all sized through one Config.
+// space-saving top-k summary (SpaceSaving); the NewShard constructors size
+// them at the fixed dimensions of the sketch-mode aggregation path.
 //
 // Every summary supports Merge and Reset, and merging per-shard summaries
 // is either exactly (CountMin: cell-wise sums; HLL: register maxima) or
 // within proven bounds (SpaceSaving) equal to summarizing the concatenated
 // stream — which is what lets the traffic engine accumulate bounded state
 // per shard and combine fixed-size summaries at the day barrier instead of
-// replaying per-event buffers. With Config.Enabled off the factories fall
+// replaying per-event buffers. With Config.Enabled off the consumers fall
 // back to exact structures, the oracle the sketch path is tested against.
 package sketch
 
@@ -186,14 +187,3 @@ func (h *HLL) Precision() uint8 { return h.p }
 // MemBytes returns the register array footprint, a pure function of the
 // precision (safe for deterministic gauges).
 func (h *HLL) MemBytes() int { return len(h.regs) }
-
-// Factory builds fresh Distinct counters; the pipeline holds one per metric.
-type Factory func() Distinct
-
-// ExactFactory returns exact counters.
-func ExactFactory() Distinct { return NewExact() }
-
-// HLLFactory returns a factory of HLLs at the given precision.
-func HLLFactory(p uint8) Factory {
-	return func() Distinct { return NewHLL(p) }
-}

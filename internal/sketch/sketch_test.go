@@ -168,15 +168,6 @@ func TestNewHLLBounds(t *testing.T) {
 	}
 }
 
-func TestFactories(t *testing.T) {
-	if _, ok := ExactFactory().(*Exact); !ok {
-		t.Error("ExactFactory type")
-	}
-	if _, ok := HLLFactory(12)().(*HLL); !ok {
-		t.Error("HLLFactory type")
-	}
-}
-
 // refCount is the HLL estimator evaluated with one math.Ldexp call per
 // register, in register order. HLL.Count must be bit-identical to it.
 func refCount(h *HLL) float64 {

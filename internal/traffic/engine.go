@@ -67,7 +67,7 @@ type Config struct {
 	// Every setting produces the identical event stream (see sharded.go).
 	Workers int
 	// Sketch enables bounded per-shard aggregation: the day's clients are
-	// split into Sketch.Shards fixed logical shards (independent of
+	// split into sketchShards fixed logical shards (independent of
 	// Workers), sinks implementing ShardedSink accumulate one summary per
 	// logical shard, and the day barrier merges the summaries in ascending
 	// shard order instead of feeding those sinks the event stream. Off
@@ -155,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ablate.NoRevisits {
 		c.RevisitProb = -1
-	}
-	if c.Sketch.Enabled {
-		c.Sketch = c.Sketch.WithDefaults()
 	}
 	return c
 }

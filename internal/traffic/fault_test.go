@@ -18,7 +18,7 @@ func panicTestEngine(t *testing.T, workers int, sk sketch.Config) *Engine {
 }
 
 // engineModes are the two ways a day's clients are sharded: one logical
-// shard per worker (exact) and Sketch.Shards fixed logical shards.
+// shard per worker (exact) and sketchShards fixed logical shards.
 var engineModes = []struct {
 	name string
 	sk   sketch.Config
@@ -49,7 +49,7 @@ func TestShardPanicBecomesError(t *testing.T) {
 			}
 			nShards := workers
 			if mode.sk.Enabled {
-				nShards = e.Cfg.Sketch.Shards
+				nShards = sketchShards
 			}
 			if shards := shardRanges(len(e.Clients), nShards); spe.Shard < 0 || spe.Shard >= len(shards) ||
 				shards[spe.Shard] != (shardRange{spe.Lo, spe.Hi}) {

@@ -282,8 +282,8 @@ func TestSimulateClientDayAllocsFlat(t *testing.T) {
 
 // BenchmarkEngineParallel sweeps worker counts over a fixed engine day so
 // the speedup (or single-core overhead) of the sharded path lands in the
-// performance trajectory. The sketch rows split the day into the default
-// Sketch.Shards logical shards instead of one per worker.
+// performance trajectory. The sketch rows split the day into the
+// sketchShards logical shards instead of one per worker.
 func BenchmarkEngineParallel(b *testing.B) {
 	for _, mode := range engineModes {
 		prefix := ""

@@ -13,8 +13,8 @@ import (
 )
 
 // The execution model. A day's clients are split into contiguous LOGICAL
-// shards (shardRanges). In sketch mode the shard count is Sketch.Shards, a
-// pure function of the population size, because it shapes sketch output;
+// shards (shardRanges). In sketch mode the shard count is sketchShards,
+// fixed independently of the worker count because it shapes sketch output;
 // in exact mode it is the worker count, which does not affect output.
 // Each shard simulates its clients with private scratch state. Sinks
 // implementing ShardedSink (sketch mode only) fold every shard's page loads
@@ -32,6 +32,12 @@ import (
 // at every worker count: per-client RNG streams are derived by index
 // (daySrc.At(i)), never shared, and the merge order is a pure function of
 // client IDs.
+
+// sketchShards is the number of logical shards whose summaries meet at the
+// sketch-mode day barrier. Workers process logical shards and the barrier
+// merges them in ascending shard order, so sketch output is byte-identical
+// at any parallelism.
+const sketchShards = 8
 
 // Event kind tags for dayBuffer.kinds.
 const (
@@ -288,7 +294,7 @@ func (e *Engine) runDayClients(ctx context.Context, d int, weekend bool, daySrc 
 	e.splitSinks()
 	k := nw
 	if e.Cfg.Sketch.Enabled {
-		k = e.Cfg.Sketch.Shards
+		k = sketchShards
 	}
 	shards := shardRanges(len(e.Clients), k)
 	e.ensureShards(len(shards))

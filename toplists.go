@@ -36,7 +36,6 @@ import (
 	"toplists/internal/experiments"
 	"toplists/internal/obs"
 	"toplists/internal/sketch"
-	"toplists/internal/world"
 )
 
 // Config parameterizes a study run. Zero fields take defaults sized for a
@@ -63,8 +62,6 @@ type Config struct {
 	// every worker count, and evaluation results are emitted in canonical
 	// paper order regardless of completion order.
 	Workers int
-	// CruxMinVisitors is the CrUX per-country privacy threshold.
-	CruxMinVisitors int
 	// FaultRate injects deterministic faults into the virtual probe
 	// network at the given rate (0..1); 0 leaves the network pristine.
 	// The fault plan is derived from Seed, so runs stay reproducible.
@@ -94,33 +91,43 @@ type Config struct {
 	// nil gives the study a private one, reachable via Study.Metrics.
 	// Telemetry never changes study output: count-valued metrics are a
 	// pure function of the configuration, and timing-valued metrics are
-	// excluded from the run report's deterministic subset.
+	// excluded from the run report's deterministic subset. The multi-study
+	// runners (RunAblations, RunAttack, RunRobustness) give each of their
+	// studies a private registry instead.
 	Obs *obs.Registry
 }
 
-// validate reports the first invalid Config field as an explicit error.
+// Validate reports the first invalid Config field as an explicit error.
 // Zero fields are valid (they take defaults); out-of-range values are
-// rejected here rather than silently clamped downstream.
-func (cfg Config) validate() error {
-	switch {
-	case cfg.Sites < 0:
-		return fmt.Errorf("toplists: sites %d negative", cfg.Sites)
-	case cfg.Clients < 0:
-		return fmt.Errorf("toplists: clients %d negative", cfg.Clients)
-	case cfg.Days < 0:
-		return fmt.Errorf("toplists: days %d negative", cfg.Days)
-	case cfg.Workers < 0:
-		return fmt.Errorf("toplists: workers %d negative", cfg.Workers)
-	case cfg.CruxMinVisitors < 0:
-		return fmt.Errorf("toplists: crux min visitors %d negative", cfg.CruxMinVisitors)
-	case cfg.FaultRate < 0 || cfg.FaultRate > 1:
-		return fmt.Errorf("toplists: fault rate %v outside [0, 1]", cfg.FaultRate)
-	case cfg.Vantages < 0 || cfg.Vantages > world.MaxVantages:
-		return fmt.Errorf("toplists: vantages %d outside [0, %d]", cfg.Vantages, world.MaxVantages)
-	case cfg.Backends < 0 || cfg.Backends > world.NumBackends:
-		return fmt.Errorf("toplists: backends %d outside [0, %d]", cfg.Backends, world.NumBackends)
+// rejected here rather than silently clamped downstream. Run and the
+// multi-study runners return the same error.
+func (cfg Config) Validate() error { return cfg.study().Validate() }
+
+// study converts cfg to the study configuration every entry point builds.
+func (cfg Config) study() core.Config {
+	return core.Config{
+		Seed:           cfg.Seed,
+		NumSites:       cfg.Sites,
+		NumClients:     cfg.Clients,
+		Days:           cfg.Days,
+		TrackAllCombos: cfg.AllCombos,
+		Workers:        cfg.Workers,
+		FaultRate:      cfg.FaultRate,
+		Vantages:       cfg.Vantages,
+		Backends:       cfg.Backends,
+		Sketch:         sketch.Config{Enabled: cfg.Sketch},
+		Obs:            cfg.Obs,
 	}
-	return nil
+}
+
+// fleet is the per-study configuration of the multi-study runners: set
+// comparisons at the scaled "10K" magnitude, and a private telemetry
+// registry per study.
+func (cfg Config) fleet() (core.Config, error) {
+	c := cfg.study()
+	c.EvalMagIdx = 1
+	c.Obs = nil
+	return c, c.Validate()
 }
 
 // ErrStudyAborted marks a study whose day advancement failed mid-day (a
@@ -175,23 +182,11 @@ func Run(cfg Config) (*Study, error) {
 // RunContext is Run honoring ctx: cancellation mid-simulation returns the
 // context's error promptly, with no goroutines left behind.
 func RunContext(ctx context.Context, cfg Config) (*Study, error) {
-	if err := cfg.validate(); err != nil {
+	c := cfg.study()
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	s := core.NewStudy(core.Config{
-		Seed:            cfg.Seed,
-		NumSites:        cfg.Sites,
-		NumClients:      cfg.Clients,
-		Days:            cfg.Days,
-		TrackAllCombos:  cfg.AllCombos,
-		CruxMinVisitors: cfg.CruxMinVisitors,
-		Workers:         cfg.Workers,
-		FaultRate:       cfg.FaultRate,
-		Vantages:        cfg.Vantages,
-		Backends:        cfg.Backends,
-		Sketch:          sketch.Config{Enabled: cfg.Sketch},
-		Obs:             cfg.Obs,
-	})
+	s := core.NewStudy(c)
 	if err := s.RunContext(ctx); err != nil {
 		return nil, err
 	}
@@ -285,18 +280,11 @@ func (s *Study) RunExperimentsContext(ctx context.Context, ids []string) ([]Expe
 // given configuration, measuring how each planted mechanism drives its
 // attributed finding. Expect roughly seven times the cost of Run.
 func RunAblations(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	c, err := cfg.fleet()
+	if err != nil {
 		return nil, err
 	}
-	return experiments.RunAblations(core.Config{
-		Seed:            cfg.Seed,
-		NumSites:        cfg.Sites,
-		NumClients:      cfg.Clients,
-		Days:            cfg.Days,
-		CruxMinVisitors: cfg.CruxMinVisitors,
-		Workers:         cfg.Workers,
-		EvalMagIdx:      1,
-	})
+	return experiments.RunAblations(c)
 }
 
 // RunAttack runs the list-manipulation extension: Sybil machines join the
@@ -304,34 +292,21 @@ func RunAblations(cfg Config) (Result, error) {
 // target's achieved rank in Alexa, Tranco, and the Cloudflare truth per
 // attacker budget. Cost is (1 + len(budgets)) full studies.
 func RunAttack(cfg Config, budgets []int) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	c, err := cfg.fleet()
+	if err != nil {
 		return nil, err
 	}
-	return experiments.RunAttack(core.Config{
-		Seed:            cfg.Seed,
-		NumSites:        cfg.Sites,
-		NumClients:      cfg.Clients,
-		Days:            cfg.Days,
-		CruxMinVisitors: cfg.CruxMinVisitors,
-		Workers:         cfg.Workers,
-		EvalMagIdx:      1,
-	}, budgets)
+	return experiments.RunAttack(c, budgets)
 }
 
 // RunRobustness replicates the study's headline numbers over multiple
 // seeds (an extension beyond the paper). Cost is len(seeds) full studies.
 func RunRobustness(cfg Config, seeds []uint64) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	c, err := cfg.fleet()
+	if err != nil {
 		return nil, err
 	}
-	return experiments.RunRobustness(core.Config{
-		NumSites:        cfg.Sites,
-		NumClients:      cfg.Clients,
-		Days:            cfg.Days,
-		CruxMinVisitors: cfg.CruxMinVisitors,
-		Workers:         cfg.Workers,
-		EvalMagIdx:      1,
-	}, seeds)
+	return experiments.RunRobustness(c, seeds)
 }
 
 // RenderAll runs every experiment the study's configuration supports and

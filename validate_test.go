@@ -1,9 +1,11 @@
 package toplists
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"toplists/internal/obs"
 	"toplists/internal/world"
 )
 
@@ -22,7 +24,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative clients", Config{Clients: -5}, "clients -5 negative"},
 		{"negative days", Config{Days: -2}, "days -2 negative"},
 		{"negative workers", Config{Workers: -1}, "workers -1 negative"},
-		{"negative crux threshold", Config{CruxMinVisitors: -10}, "crux min visitors -10 negative"},
 		{"fault rate above one", Config{FaultRate: 1.5}, "fault rate 1.5 outside [0, 1]"},
 		{"negative fault rate", Config{FaultRate: -0.5}, "fault rate -0.5 outside [0, 1]"},
 		{"negative vantages", Config{Vantages: -1}, "vantages -1 outside"},
@@ -32,18 +33,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.validate()
+			err := tc.cfg.Validate()
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validate() = %v, want nil", err)
+					t.Fatalf("Validate() = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("validate() = nil, want error containing %q", tc.wantErr)
+				t.Fatalf("Validate() = nil, want error containing %q", tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("validate() = %q, want it to contain %q", err, tc.wantErr)
+				t.Fatalf("Validate() = %q, want it to contain %q", err, tc.wantErr)
 			}
 			// Every entry point must surface the same explicit error.
 			if _, runErr := Run(tc.cfg); runErr == nil || runErr.Error() != err.Error() {
@@ -51,6 +52,12 @@ func TestConfigValidation(t *testing.T) {
 			}
 			if _, abErr := RunAblations(tc.cfg); abErr == nil || abErr.Error() != err.Error() {
 				t.Fatalf("RunAblations() = %v, want %v", abErr, err)
+			}
+			if _, atErr := RunAttack(tc.cfg, []int{1}); atErr == nil || atErr.Error() != err.Error() {
+				t.Fatalf("RunAttack() = %v, want %v", atErr, err)
+			}
+			if _, rbErr := RunRobustness(tc.cfg, []uint64{1}); rbErr == nil || rbErr.Error() != err.Error() {
+				t.Fatalf("RunRobustness() = %v, want %v", rbErr, err)
 			}
 		})
 	}
@@ -76,5 +83,26 @@ func TestRunMultiVantage(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("vantages render missing %q:\n%s", want, b.String())
 		}
+	}
+}
+
+// TestFleetConfigCarriesStudyFlags: the multi-study runners build their
+// studies from the same conversion as Run — sketch mode, fault rate and the
+// vantage grid included — evaluated at the scaled "10K" magnitude with a
+// private registry per study.
+func TestFleetConfigCarriesStudyFlags(t *testing.T) {
+	cfg := Config{Seed: 3, Sites: 500, Clients: 60, Days: 2, Workers: 1, FaultRate: 0.1,
+		Vantages: 2, Backends: 2, Sketch: true, Obs: obs.NewRegistry()}
+	got, err := cfg.fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.study()
+	want.EvalMagIdx, want.Obs = 1, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet() = %+v, want %+v", got, want)
+	}
+	if !got.Sketch.Enabled || got.FaultRate != 0.1 || got.Vantages != 2 || got.Backends != 2 {
+		t.Fatalf("fleet() dropped a study flag: %+v", got)
 	}
 }
