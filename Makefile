@@ -21,7 +21,10 @@ benchvet:
 # concurrent readers, and the probe network injects faults under load; the
 # race pass covers every package that touches a parallel path, with
 # -shuffle=on so test-order coupling can't hide behind a fixed schedule.
+# The tracer ring and the study's probe table are hammered ten times over
+# first, since one pass rarely lands two writers on the same slot or sweep.
 race:
+	$(GO) test -race -count=10 -run 'TestTraceConcurrentSpans|TestProbeTableConcurrent' ./internal/obs ./internal/core
 	$(GO) test -race -shuffle=on ./internal/names ./internal/rank ./internal/sketch ./internal/cfmetrics ./internal/traffic ./internal/core ./internal/experiments ./internal/httpsim ./internal/obs ./internal/snapshot ./internal/world ./internal/dnssim ./internal/sweep ./internal/perfgate ./cmd/toplistsd
 
 # faultcheck is the fault-injection determinism oracle: a fixed seed at a

@@ -18,9 +18,9 @@ import (
 // Artifacts is the study's memoized derived-data layer: every ranking or
 // set the evaluation derives from the raw simulation output — PSL-normalized
 // list snapshots, per-day Cloudflare metric rankings, month-aggregated
-// Dowdall amalgams, Chrome telemetry cell rankings, and the probed set of
-// Cloudflare-served domains — is computed exactly once per study and shared
-// by all experiments.
+// Dowdall amalgams, Chrome telemetry cell rankings, and the per-host probe
+// verdicts behind the Cloudflare set and Table 1 — is computed exactly once
+// per study and shared by all experiments.
 //
 // The store is safe for concurrent readers: each key is guarded by a
 // sync.Once-style entry, so when experiments run in parallel a second
@@ -50,11 +50,18 @@ type Artifacts struct {
 	cmTelemetry *obs.CacheMetrics
 	cfDomainsG  *obs.Gauge
 
-	// cfMu guards the probed Cloudflare set. A plain mutex rather than a
-	// sync.Once: a sweep aborted by context cancellation must not be
-	// memoized as "the" answer, so only a completed sweep sets cfReady.
-	cfMu      sync.Mutex
-	cfReady   bool
+	// probeMu guards the probe table and serializes probe sweeps, so each
+	// distinct host is probed at most once per study whichever caller asks
+	// first. A plain mutex rather than a sync.Once: a sweep aborted by
+	// context cancellation writes nothing, so the next caller retries.
+	probeMu sync.Mutex
+	// probed maps every host a completed sweep covered to its final
+	// verdict: Cloudflare-served or not (Unknown after the last sweep day
+	// counts as not).
+	probed map[string]bool
+	// cfDomains and cfIDs are the probed Cloudflare set over the site
+	// domains, as names and as an interned bitset; nil until ProbeCF
+	// completes.
 	cfDomains map[string]struct{}
 	cfIDs     *names.Set
 }
@@ -263,9 +270,9 @@ func (a *Artifacts) TelemetryRanking(c world.Country, p world.Platform, m chrome
 // keeping those that answer with a cf-ray header. Callers must not modify
 // the returned set.
 func (a *Artifacts) CFDomains() map[string]struct{} {
-	mustProbe(a.ProbeCF(context.Background()))
-	a.cfMu.Lock()
-	defer a.cfMu.Unlock()
+	a.probeMu.Lock()
+	defer a.probeMu.Unlock()
+	mustProbe(a.probeCF(context.Background()))
 	return a.cfDomains
 }
 
@@ -273,9 +280,9 @@ func (a *Artifacts) CFDomains() map[string]struct{} {
 // bitset over the world's name table, usable with rank.FilterIDs and
 // stats.JaccardIDs. Built from the same single probe sweep.
 func (a *Artifacts) CFDomainIDs() *names.Set {
-	mustProbe(a.ProbeCF(context.Background()))
-	a.cfMu.Lock()
-	defer a.cfMu.Unlock()
+	a.probeMu.Lock()
+	defer a.probeMu.Unlock()
+	mustProbe(a.probeCF(context.Background()))
 	return a.cfIDs
 }
 
@@ -288,35 +295,101 @@ func mustProbe(err error) {
 	}
 }
 
-// ProbeCF establishes the Cloudflare set, probing at most once per study.
-// Concurrent requesters wait for the in-flight sweep; a sweep aborted by
-// ctx is not memoized, so the next caller retries. Experiments that honor
+// ProbeCF establishes the Cloudflare set over the site domains, probing
+// only the domains no earlier sweep in this study covered. Concurrent
+// requesters wait for the in-flight sweep; a sweep aborted by ctx records
+// nothing, so the next caller retries. Experiments that honor
 // cancellation call this (with their context) before touching CFDomains
 // or CFDomainIDs.
 func (a *Artifacts) ProbeCF(ctx context.Context) error {
-	a.cfMu.Lock()
-	defer a.cfMu.Unlock()
-	if a.cfReady {
+	a.probeMu.Lock()
+	defer a.probeMu.Unlock()
+	return a.probeCF(ctx)
+}
+
+// probeCF is ProbeCF with probeMu held.
+func (a *Artifacts) probeCF(ctx context.Context) error {
+	if a.cfIDs != nil {
 		return nil
 	}
-	hosts := make([]string, a.s.World.NumSites())
+	w := a.s.World
+	hosts := make([]string, w.NumSites())
 	for i := range hosts {
-		hosts[i] = a.s.World.Site(int32(i)).Domain
+		hosts[i] = w.Site(int32(i)).Domain
 	}
-	cf, err := a.s.probeSweep(ctx, hosts)
-	if err != nil {
+	if err := a.sweepMissing(ctx, hosts); err != nil {
 		return err
 	}
-	ids := make([]names.ID, 0, len(cf))
-	for name := range cf {
-		// Every probed host is a site domain, interned at world build.
-		if id, ok := a.s.World.Interner().Find(name); ok {
+	cf := make(map[string]struct{})
+	var ids []names.ID
+	for _, h := range hosts {
+		if !a.probed[h] {
+			continue
+		}
+		cf[h] = struct{}{}
+		// Every site domain is interned at world build.
+		if id, ok := w.Interner().Find(h); ok {
 			ids = append(ids, id)
 		}
 	}
 	a.cfDomains = cf
 	a.cfIDs = names.NewSet(ids)
-	a.cfReady = true
 	a.cfDomainsG.Set(int64(len(cf)))
+	return nil
+}
+
+// probeHosts returns the Cloudflare-served subset of hosts (any hostname:
+// FQDN or origin-host form), probing only the hosts no earlier sweep in
+// this study covered. A canceled sweep returns the context's error, never
+// a partial set.
+func (a *Artifacts) probeHosts(ctx context.Context, hosts []string) (map[string]struct{}, error) {
+	a.probeMu.Lock()
+	defer a.probeMu.Unlock()
+	if err := a.sweepMissing(ctx, hosts); err != nil {
+		return nil, err
+	}
+	cf := make(map[string]struct{})
+	for _, h := range hosts {
+		if a.probed[h] {
+			cf[h] = struct{}{}
+		}
+	}
+	return cf, nil
+}
+
+// sweepMissing runs one probe sweep over the distinct hosts the table
+// lacks and records their verdicts. Called with probeMu held, so sweeps
+// run one at a time and the table (and every probe.* counter) ends up the
+// same whatever order callers arrive in. A failed sweep records nothing.
+// Duplicates are dropped before the sweep: two concurrent probes of one
+// host would share its breaker strikes, and the verdict would then
+// depend on scheduling.
+func (a *Artifacts) sweepMissing(ctx context.Context, hosts []string) error {
+	var missing []string
+	seen := make(map[string]struct{})
+	for _, h := range hosts {
+		if _, ok := a.probed[h]; ok {
+			continue
+		}
+		if _, ok := seen[h]; ok {
+			continue
+		}
+		seen[h] = struct{}{}
+		missing = append(missing, h)
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	cf, err := a.s.probeSweep(ctx, missing)
+	if err != nil {
+		return err
+	}
+	if a.probed == nil {
+		a.probed = make(map[string]bool, len(missing))
+	}
+	for _, h := range missing {
+		_, isCF := cf[h]
+		a.probed[h] = isCF
+	}
 	return nil
 }

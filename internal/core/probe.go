@@ -74,20 +74,12 @@ func (s *Study) probeSweep(ctx context.Context, hosts []string) (map[string]stru
 	return cf, nil
 }
 
-// ProbeHosts probes arbitrary hostnames (FQDN or origin-host form) and
-// reports which are Cloudflare-served; used for the per-entry coverage of
-// Table 1. Concurrent callers each run their own probe sweep.
-func (s *Study) ProbeHosts(hosts []string) map[string]struct{} {
-	cf, err := s.ProbeHostsContext(context.Background(), hosts)
-	if err != nil {
-		// Background is never canceled; a sweep error is unreachable here.
-		panic(err)
-	}
-	return cf
-}
-
-// ProbeHostsContext is ProbeHosts honoring ctx: cancellation mid-sweep
-// returns the context's error rather than a partial (misclassified) set.
+// ProbeHostsContext reports which of hosts (FQDN or origin-host form) are
+// Cloudflare-served; used for the per-entry coverage of Table 1. Verdicts
+// come from the study's probe table: a host an earlier sweep covered (a
+// site domain after ProbeCF, say) is not probed again, and concurrent
+// callers wait for the in-flight sweep. Cancellation mid-sweep returns the
+// context's error rather than a partial (misclassified) set.
 func (s *Study) ProbeHostsContext(ctx context.Context, hosts []string) (map[string]struct{}, error) {
-	return s.probeSweep(ctx, hosts)
+	return s.artifacts.probeHosts(ctx, hosts)
 }

@@ -33,8 +33,9 @@ func RunTable1(ctx context.Context, s *core.Study) (*Table1Result, error) {
 	day := evalDay(s)
 	res := &Table1Result{Day: day, Magnitudes: s.Bucketer.Magnitudes[:]}
 
-	// One probe over the union of all entries keeps the HTTP work linear.
-	union := make(map[string]struct{})
+	// One probe over all entries: the study's probe table sweeps each
+	// distinct host once, and not at all if an earlier sweep covered it.
+	var all []string
 	rawTops := make([][]string, len(lists))
 	for li, l := range lists {
 		raw := l.Raw(day)
@@ -44,16 +45,11 @@ func RunTable1(ctx context.Context, s *core.Study) (*Table1Result, error) {
 		}
 		hosts := make([]string, 0, limit)
 		for i := 1; i <= limit; i++ {
-			h := entryHost(raw.At(i))
-			hosts = append(hosts, h)
-			union[h] = struct{}{}
+			hosts = append(hosts, entryHost(raw.At(i)))
 		}
 		rawTops[li] = hosts
+		all = append(all, hosts...)
 		res.Lists = append(res.Lists, l.Name())
-	}
-	all := make([]string, 0, len(union))
-	for h := range union {
-		all = append(all, h)
 	}
 	cf, err := s.ProbeHostsContext(ctx, all)
 	if err != nil {

@@ -262,6 +262,7 @@ func BenchmarkProbe(b *testing.B) {
 	for i := 0; i < w.NumSites(); i++ {
 		hosts = append(hosts, w.Site(int32(i)).Domain)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ProbeAll(context.Background(), hosts)

@@ -311,16 +311,30 @@ func (n *Network) dialBackend(ctx context.Context, info hostInfo) (net.Conn, err
 	return n.origin.dial(ctx)
 }
 
+// Client connections are sized for one HEAD exchange: a request line plus
+// a few headers out, a status line plus a few headers back. Longer header
+// lines still parse; bufio only refills more often.
+const (
+	clientReadBuffer  = 1 << 10
+	clientWriteBuffer = 512
+)
+
 // Client returns an *http.Client routed through the virtual network. TLS
 // dials hand back a plain pipe (the simulation treats transport security as
 // already established), so https:// URLs work against the in-memory stack.
+//
+// The client keeps no idle connections. A probe sweep sends each attempt
+// to a distinct (host, scheme) pair, and a fault plan forces Connection:
+// close anyway, so a pooled connection would never be reused; it would
+// only keep its goroutines and buffers live for the GC to scan.
 func (n *Network) Client() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
 			DialContext:       n.DialContext,
 			DialTLSContext:    n.DialContext,
-			MaxIdleConns:      256,
-			DisableKeepAlives: false,
+			DisableKeepAlives: true,
+			ReadBufferSize:    clientReadBuffer,
+			WriteBufferSize:   clientWriteBuffer,
 		},
 	}
 }

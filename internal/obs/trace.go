@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,14 +25,16 @@ import (
 //   - Fine-grained spans (per-shard simulate slices, artifact builds,
 //     queue waits) can number in the hundreds of thousands. They go into a
 //     fixed-capacity ring claimed by an atomic cursor: writing is
-//     lock-free and allocation-free, and once the ring wraps the oldest
-//     spans are overwritten. Dropped reports how many were lost.
+//     allocation-free, and once the ring wraps the oldest spans are
+//     overwritten. Dropped reports how many were lost.
 //
 // All methods are nil-safe, so instrumented code pays one branch when no
 // tracer is attached — the same contract as every other obs primitive.
 //
-// The ring is written without per-slot synchronization, so snapshotting
-// (Events, WriteJSON) is only well-defined after the traced workload has
+// Each ring slot carries a busy word, so two writers that claim the same
+// slot after a wrap take turns instead of interleaving their fields.
+// Snapshotting (Events, WriteJSON) still reads the ring without taking
+// those words, so it is only well-defined after the traced workload has
 // quiesced — the same "snapshot at a barrier" contract as Report.
 type Tracer struct {
 	epoch time.Time
@@ -39,8 +42,14 @@ type Tracer struct {
 	mu    sync.Mutex
 	bound []Event // phase-boundary events; never dropped
 
-	ring []Event
+	ring []ringSlot
 	next atomic.Uint64 // total ring events ever claimed
+}
+
+// ringSlot is one span ring entry. busy is 1 while a writer fills ev.
+type ringSlot struct {
+	busy atomic.Uint32
+	ev   Event
 }
 
 // Event is one trace entry. TS and Dur are nanoseconds relative to the
@@ -70,7 +79,7 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{
 		epoch: time.Now(),
 		bound: make([]Event, 0, 256),
-		ring:  make([]Event, capacity),
+		ring:  make([]ringSlot, capacity),
 	}
 }
 
@@ -114,22 +123,22 @@ func (t *Tracer) Phase(name string, start time.Time, d time.Duration) {
 }
 
 // Span records a completed fine-grained span into the bounded ring. This
-// is the hot path: claiming a slot is one atomic add and writing it
-// allocates nothing, so per-shard and per-build instrumentation can call
-// it from any goroutine. Oldest spans are overwritten once the ring
-// wraps. Safe on nil.
+// is the hot path: claiming a slot is one atomic add, taking its busy word
+// one compare-and-swap (it only spins when another writer holds the same
+// slot after a wrap), and writing it allocates nothing, so per-shard and
+// per-build instrumentation can call it from any goroutine. Oldest spans
+// are overwritten once the ring wraps. Safe on nil.
 func (t *Tracer) Span(name, cat string, tid int64, start time.Time, d time.Duration) {
 	if t == nil {
 		return
 	}
-	slot := t.next.Add(1) - 1
-	ev := &t.ring[slot%uint64(len(t.ring))]
-	ev.Name = name
-	ev.Cat = cat
-	ev.Ph = 'X'
-	ev.TID = tid
-	ev.TS = start.Sub(t.epoch).Nanoseconds()
-	ev.Dur = int64(d)
+	ev := Event{Name: name, Cat: cat, Ph: 'X', TID: tid, TS: start.Sub(t.epoch).Nanoseconds(), Dur: int64(d)}
+	s := &t.ring[(t.next.Add(1)-1)%uint64(len(t.ring))]
+	for !s.busy.CompareAndSwap(0, 1) {
+		runtime.Gosched()
+	}
+	s.ev = ev
+	s.busy.Store(0)
 }
 
 // Dropped returns how many ring spans have been overwritten (0 on nil).
@@ -176,7 +185,9 @@ func (t *Tracer) Events() []Event {
 	if n > len(t.ring) {
 		n = len(t.ring)
 	}
-	out = append(out, t.ring[:n]...)
+	for i := range t.ring[:n] {
+		out = append(out, t.ring[i].ev)
+	}
 	var maxTS int64
 	for i := range out {
 		if out[i].TS < 0 {
