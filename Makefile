@@ -16,16 +16,18 @@ vet:
 benchvet:
 	cd pipebench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
-# The simulation engine runs client shards concurrently, the experiments
-# evaluate on a shared artifact store, the name interner serves lock-free
-# concurrent readers, and the probe network injects faults under load; the
-# race pass covers every package that touches a parallel path, with
-# -shuffle=on so test-order coupling can't hide behind a fixed schedule.
+# The simulation engine runs client shards concurrently, every study sink
+# (CF pipelines, Chrome telemetry, list providers) folds shard states on
+# those worker goroutines, the experiments evaluate on a shared artifact
+# store, the name interner serves lock-free concurrent readers, and the
+# probe network injects faults under load; the race pass covers every
+# package that touches a parallel path, with -shuffle=on so test-order
+# coupling can't hide behind a fixed schedule.
 # The tracer ring and the study's probe table are hammered ten times over
 # first, since one pass rarely lands two writers on the same slot or sweep.
 race:
 	$(GO) test -race -count=10 -run 'TestTraceConcurrentSpans|TestProbeTableConcurrent' ./internal/obs ./internal/core
-	$(GO) test -race -shuffle=on ./internal/names ./internal/rank ./internal/sketch ./internal/cfmetrics ./internal/traffic ./internal/core ./internal/experiments ./internal/httpsim ./internal/obs ./internal/snapshot ./internal/world ./internal/dnssim ./internal/sweep ./internal/perfgate ./cmd/toplistsd
+	$(GO) test -race -shuffle=on ./internal/names ./internal/rank ./internal/sketch ./internal/cfmetrics ./internal/chrome ./internal/providers ./internal/traffic ./internal/core ./internal/experiments ./internal/httpsim ./internal/obs ./internal/snapshot ./internal/world ./internal/dnssim ./internal/sweep ./internal/perfgate ./cmd/toplistsd
 
 # faultcheck is the fault-injection determinism oracle: a fixed seed at a
 # nonzero fault rate must render the full evaluation byte-identically
@@ -92,7 +94,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # The interned-evaluation microbenchmarks: string path vs ID path for
-# top-k set builds, rank lookups, and Jaccard (recorded in BENCH_rank.json).
+# top-k set builds, rank lookups, and Jaccard (history in EXPERIMENTS.md,
+# "Retired one-off records").
 benchrank:
 	$(GO) test -run=^$$ -bench='BenchmarkRanking|BenchmarkJaccard' -benchmem ./internal/rank ./internal/stats
 

@@ -54,8 +54,8 @@ func BenchmarkStudyBuild(b *testing.B) {
 
 // BenchmarkStudyBuildWorkers sweeps the engine worker count over a larger
 // study so the speedup of the sharded simulation (engine.RunDay fans client
-// shards out across goroutines, then replays events in client order) is
-// visible on multi-core machines. Output is identical at every width; only
+// shards out across goroutines, then merges their sink states in client
+// order) is visible on multi-core machines. Output is identical at every width; only
 // wall-clock changes.
 func BenchmarkStudyBuildWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {

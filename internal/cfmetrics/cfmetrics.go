@@ -13,7 +13,6 @@ import (
 	"toplists/internal/names"
 	"toplists/internal/rank"
 	"toplists/internal/simrand"
-	"toplists/internal/sketch"
 	"toplists/internal/traffic"
 	"toplists/internal/world"
 )
@@ -219,8 +218,8 @@ func botContribution(f Filter, bb *traffic.BotBatch) int {
 
 // Pipeline is one edge-log processor: the request stream of one CDN
 // backend as observed from one measurement vantage. It implements
-// traffic.Sink and accumulates, for each tracked combo, a ranked site list
-// per day. The default pipeline — the transparent global vantage watching
+// traffic.ShardedSink and accumulates, for each tracked combo, a ranked
+// site list per day. The default pipeline — the transparent global vantage watching
 // the Cloudflare-style backend — is the paper's Cloudflare log pipeline,
 // byte-identical to the pre-multi-vantage implementation.
 type Pipeline struct {
@@ -244,13 +243,11 @@ type Pipeline struct {
 	// pipeline's backend (primary or secondary).
 	observes []bool
 
-	// Current-day state, one entry per tracked combo.
-	counts   [][]float64               // combo -> site -> score
-	distinct []map[int32]*sketch.Exact // combo -> site -> counter (unique aggs)
-
-	// Sketch-mode state (see sketchmode.go): bounded summaries replacing
-	// the exact arrays. dayState accumulates the barrier's shard merges,
-	// botState the day's bot batches (merged last at EndDay).
+	// Day state (see shard.go): dayState accumulates the barrier's shard
+	// merges, botState the day's bot batches. sketched selects bounded
+	// summaries over exact per-site state, and a separate bot state merged
+	// last at EndDay; in exact mode botState is dayState. shardMem and
+	// memPeak are the sketch footprint gauge.
 	sketched bool
 	dayState *pipelineShard
 	botState *pipelineShard
@@ -285,15 +282,8 @@ func NewEdgePipeline(w *world.World, combos []Combo, v world.Vantage, b world.Ba
 	for i := 0; i < w.NumSites(); i++ {
 		p.observes[i] = w.Site(int32(i)).OnBackend(b)
 	}
-	p.counts = make([][]float64, len(combos))
-	p.distinct = make([]map[int32]*sketch.Exact, len(combos))
-	for i, c := range combos {
-		if c.Agg == AggCount {
-			p.counts[i] = make([]float64, w.NumSites())
-		} else {
-			p.distinct[i] = make(map[int32]*sketch.Exact)
-		}
-	}
+	p.dayState = p.newPipelineShard()
+	p.botState = p.dayState
 	return p
 }
 
@@ -355,81 +345,6 @@ func reachMix(seed, a, b uint64) uint64 {
 	return x
 }
 
-// BeginDay implements traffic.Sink.
-func (p *Pipeline) BeginDay(day int, weekend bool) {
-	if p.sketched {
-		return // day and bot summaries are reset at EndDay
-	}
-	for i := range p.combos {
-		if p.counts[i] != nil {
-			for j := range p.counts[i] {
-				p.counts[i][j] = 0
-			}
-		}
-		if p.distinct[i] != nil {
-			clear(p.distinct[i])
-		}
-	}
-}
-
-// OnPageLoad implements traffic.Sink.
-func (p *Pipeline) OnPageLoad(pl *traffic.PageLoad) {
-	if !p.observes[pl.Site] || !p.seesPage(pl) {
-		return
-	}
-	for i, c := range p.combos {
-		n := filterContribution(c.Filter, pl)
-		if n <= 0 {
-			continue
-		}
-		switch c.Agg {
-		case AggCount:
-			p.counts[i][pl.Site] += float64(n)
-		case AggUniqueIP:
-			p.addDistinct(i, pl.Site, uint64(pl.IP))
-		default:
-			p.addDistinct(i, pl.Site, ipua(pl.IP, pl.Client.UA))
-		}
-	}
-}
-
-// OnBotBatch implements traffic.Sink. Bot batches arrive on the engine
-// goroutine after the day's barrier; in sketch mode they accumulate in a
-// dedicated summary that EndDay merges after the shard states.
-func (p *Pipeline) OnBotBatch(bb *traffic.BotBatch) {
-	if p.sketched {
-		p.botState.onBotBatch(bb)
-		return
-	}
-	if !p.observes[bb.Site] || !p.seesBot(bb) {
-		return
-	}
-	for i, c := range p.combos {
-		n := botContribution(c.Filter, bb)
-		if n <= 0 {
-			continue
-		}
-		switch c.Agg {
-		case AggCount:
-			p.counts[i][bb.Site] += float64(n)
-		default:
-			// All of the batch's IPs pass proportionally to the share of
-			// requests passing the filter, at least one.
-			k := len(bb.IPs) * n / bb.Requests
-			if k < 1 {
-				k = 1
-			}
-			for _, ip := range bb.IPs[:k] {
-				key := uint64(ip)
-				if c.Agg == AggUniqueIPUA {
-					key = ipua(ip, botUA)
-				}
-				p.addDistinct(i, bb.Site, key)
-			}
-		}
-	}
-}
-
 // botUA is the user-agent hash bucket for non-browser clients.
 const botUA = 0xb07b07b07b07b07
 
@@ -437,42 +352,6 @@ func ipua(ip uint32, ua uint64) uint64 {
 	x := uint64(ip) ^ ua*0x9e3779b97f4a7c15
 	x ^= x >> 29
 	return x
-}
-
-func (p *Pipeline) addDistinct(combo int, site int32, key uint64) {
-	d, ok := p.distinct[combo][site]
-	if !ok {
-		d = sketch.NewExact()
-		p.distinct[combo][site] = d
-	}
-	d.Add(key)
-}
-
-// EndDay implements traffic.Sink: it freezes the day's ranked lists.
-func (p *Pipeline) EndDay(day int) {
-	if p.sketched {
-		p.endDaySketch(day)
-		return
-	}
-	lists := make([][]int32, len(p.combos))
-	for i, c := range p.combos {
-		var scored []scoredSite
-		if c.Agg == AggCount {
-			for site, v := range p.counts[i] {
-				if v > 0 {
-					scored = append(scored, scoredSite{int32(site), v})
-				}
-			}
-		} else {
-			for site, d := range p.distinct[i] {
-				if v := d.Count(); v > 0 {
-					scored = append(scored, scoredSite{site, v})
-				}
-			}
-		}
-		lists[i] = rankScored(scored)
-	}
-	p.days = append(p.days, lists)
 }
 
 // rankScored orders the day's scored sites — score descending, with the

@@ -11,8 +11,8 @@ const pipelineSnapVersion = 1
 
 // Snapshot writes the pipeline's cross-day state: the per-day ranked site
 // lists for every tracked combo, plus the sketch error bound and memory
-// peak. Count and distinct accumulators are day-scoped (reset each
-// BeginDay) so a day-boundary checkpoint never has them in flight.
+// peak. The day and bot states are reset at every EndDay, so a
+// day-boundary checkpoint never has them in flight.
 func (p *Pipeline) Snapshot(w io.Writer) error {
 	var e snapshot.Encoder
 	e.Uvarint(pipelineSnapVersion)

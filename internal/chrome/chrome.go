@@ -49,71 +49,89 @@ type originKey struct {
 	sub  uint8
 }
 
-// Telemetry is the Chrome data collector. It implements traffic.Sink.
-//
-// Only page loads from clients with ChromeSync are observed; private-mode
-// loads never enter history and are excluded, as are loads of non-public
-// domains (Section 6.1).
+// Telemetry is the Chrome data collector. It implements
+// traffic.ShardedSink: page loads fold into per-shard states (see shard.go)
+// that the day barrier merges into the month-spanning tally.
 type Telemetry struct {
 	traffic.BaseSink
 
 	w *world.World
 
-	// cells[cellKey] -> per-site accumulated metric value.
-	cells [][]float64
+	tally
 
-	// originCompleted accumulates monthly completed page loads per origin
-	// for the CrUX derivation.
-	originCompleted map[originKey]float64
-	// countryVisitors tracks distinct visitors per (country, site) for the
-	// privacy threshold.
-	countryVisitors map[int64]sketch.Distinct
-
-	// Sketch mode (see sketchmode.go): shard states mirror the accumulators
-	// and visitor counters become coarse HLLs.
+	// sketched selects sketch mode (see shard.go): visitor counters become
+	// coarse HLLs. shardMem and memPeak are its footprint gauge.
 	sketched bool
 	shardMem int
 	memPeak  int
 }
 
-// NewTelemetry builds a collector for the world.
-func NewTelemetry(w *world.World) *Telemetry {
-	t := &Telemetry{
-		w:               w,
+// tally is a set of telemetry accumulators: the collector's month state,
+// and in sketch mode each shard's day state.
+type tally struct {
+	// cells[cellKey] -> per-site accumulated metric value; a shard's cells
+	// stay nil until credited.
+	cells [][]float64
+
+	// originCompleted accumulates completed page loads per origin for the
+	// CrUX derivation.
+	originCompleted map[originKey]float64
+	// countryVisitors tracks distinct visitors per (country, site) for the
+	// privacy threshold; pool holds reset counters for reuse.
+	countryVisitors map[int64]sketch.Distinct
+	pool            []sketch.Distinct
+}
+
+func newTally() tally {
+	return tally{
 		cells:           make([][]float64, world.NumCountries*world.NumPlatforms*int(NumTelemetryMetrics)),
 		originCompleted: make(map[originKey]float64),
 		countryVisitors: make(map[int64]sketch.Distinct),
 	}
+}
+
+// NewTelemetry builds a collector for the world.
+func NewTelemetry(w *world.World) *Telemetry {
+	t := &Telemetry{w: w, tally: newTally()}
 	for i := range t.cells {
 		t.cells[i] = make([]float64, w.NumSites())
 	}
 	return t
 }
 
-// OnPageLoad implements traffic.Sink.
-func (t *Telemetry) OnPageLoad(pl *traffic.PageLoad) {
-	c := pl.Client
-	if !c.ChromeSync || pl.Private {
+// observe credits one observed page load to the tally: an initiated load
+// and, if completed, a completed load, its dwell time, the origin's
+// completed load, and the visitor.
+func (tl *tally) observe(t *Telemetry, c world.Country, p world.Platform, site int32, sub uint8, client int32, completed bool, dwell float64) {
+	tl.cell(t, cellKey(c, p, InitiatedPageLoads))[site]++
+	if !completed {
 		return
 	}
-	site := t.w.Site(pl.Site)
-	if site.NonPublic {
-		return
-	}
-	t.cells[cellKey(c.Country, c.Platform, InitiatedPageLoads)][pl.Site]++
-	if pl.Completed {
-		t.cells[cellKey(c.Country, c.Platform, CompletedPageLoads)][pl.Site]++
-		t.cells[cellKey(c.Country, c.Platform, TimeOnSite)][pl.Site] += pl.DwellSec
+	tl.cell(t, cellKey(c, p, CompletedPageLoads))[site]++
+	tl.cell(t, cellKey(c, p, TimeOnSite))[site] += dwell
 
-		t.originCompleted[originKey{pl.Site, pl.SubIdx}]++
-		vk := int64(c.Country)<<32 | int64(pl.Site)
-		d, ok := t.countryVisitors[vk]
-		if !ok {
+	tl.originCompleted[originKey{site, sub}]++
+	vk := int64(c)<<32 | int64(site)
+	d, ok := tl.countryVisitors[vk]
+	if !ok {
+		if n := len(tl.pool); n > 0 {
+			d = tl.pool[n-1]
+			tl.pool = tl.pool[:n-1]
+			d.Reset()
+		} else {
 			d = t.newDistinct()
-			t.countryVisitors[vk] = d
 		}
-		d.Add(uint64(c.ID))
+		tl.countryVisitors[vk] = d
 	}
+	d.Add(uint64(client))
+}
+
+// cell returns cell i, allocating it on first use.
+func (tl *tally) cell(t *Telemetry, i int) []float64 {
+	if tl.cells[i] == nil {
+		tl.cells[i] = make([]float64, t.w.NumSites())
+	}
+	return tl.cells[i]
 }
 
 // Ranking returns the month-aggregated ranked domain list for a country,

@@ -1,10 +1,12 @@
 package chrome
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"toplists/internal/rank"
+	"toplists/internal/sketch"
 	"toplists/internal/stats"
 	"toplists/internal/traffic"
 	"toplists/internal/world"
@@ -25,19 +27,27 @@ func TestTelemetryOnlyChromeSync(t *testing.T) {
 	tel := NewTelemetry(w)
 	site := firstPublicSite(w)
 	noSync := &traffic.Client{ID: 1, Browser: traffic.Firefox}
-	tel.OnPageLoad(&traffic.PageLoad{Site: site, Client: noSync, Completed: true})
+	observe(tel, &traffic.PageLoad{Site: site, Client: noSync, Completed: true})
 	sync := &traffic.Client{ID: 2, Browser: traffic.Chrome, ChromeSync: true}
-	tel.OnPageLoad(&traffic.PageLoad{Site: site, Client: sync, Private: true, Completed: true})
+	observe(tel, &traffic.PageLoad{Site: site, Client: sync, Private: true, Completed: true})
 	if r := tel.Ranking(world.US, world.Windows, InitiatedPageLoads); r.Len() != 0 {
 		t.Fatal("non-sync or private loads were recorded")
 	}
-	tel.OnPageLoad(&traffic.PageLoad{Site: site, Client: sync, Completed: true, DwellSec: 9})
+	observe(tel, &traffic.PageLoad{Site: site, Client: sync, Completed: true, DwellSec: 9})
 	if r := tel.Ranking(world.US, world.Windows, InitiatedPageLoads); r.Len() != 1 {
 		t.Fatal("sync load not recorded")
 	}
 	if r := tel.Ranking(world.US, world.Android, InitiatedPageLoads); r.Len() != 0 {
 		t.Fatal("recorded under wrong platform")
 	}
+}
+
+// observe folds one page load into the collector through a shard state,
+// as the engine's day barrier does.
+func observe(tel *Telemetry, pl *traffic.PageLoad) {
+	st := tel.NewShardState()
+	st.OnPageLoad(pl)
+	tel.MergeShard(st)
 }
 
 func firstPublicSite(w *world.World) int32 {
@@ -212,5 +222,35 @@ func TestDeriveCruxCountry(t *testing.T) {
 	if cnShare(world.CN) <= cnShare(world.US) {
 		t.Errorf("CN-list CN-share %.2f not above US-list CN-share %.2f",
 			cnShare(world.CN), cnShare(world.US))
+	}
+}
+
+// TestTelemetryMatchesAcrossWorkers runs the collector over engines of 1
+// and 3 workers, in exact and sketch mode, and requires byte-identical
+// checkpoint payloads: the exact dwell log replays in serial event order,
+// so even the float time-on-site sums must not depend on the shard split.
+// The 3-worker runs also give the race detector concurrent shard states to
+// watch.
+func TestTelemetryMatchesAcrossWorkers(t *testing.T) {
+	run := func(workers int, sketchOn bool) []byte {
+		w := world.Generate(world.Config{Seed: 35, NumSites: 1500})
+		tel := NewTelemetry(w)
+		if sketchOn {
+			tel.SetSketch()
+		}
+		e := traffic.NewEngine(w, traffic.Config{Seed: 36, NumClients: 400, Days: 3,
+			Workers: workers, Sketch: sketch.Config{Enabled: sketchOn}})
+		e.AddSink(tel)
+		e.Run()
+		var buf bytes.Buffer
+		if err := tel.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, sketchOn := range []bool{false, true} {
+		if !bytes.Equal(run(1, sketchOn), run(3, sketchOn)) {
+			t.Errorf("sketch=%v: snapshot differs between 1 and 3 workers", sketchOn)
+		}
 	}
 }

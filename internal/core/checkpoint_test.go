@@ -312,3 +312,53 @@ func TestEdgeRankingFor(t *testing.T) {
 		t.Fatal("EdgeRankingFor accepted out-of-range day")
 	}
 }
+
+// checkpointComponents runs cfg's study to completion, checkpoints it, and
+// returns every component payload by name.
+func checkpointComponents(t *testing.T, cfg Config) map[string][]byte {
+	t.Helper()
+	s := NewStudy(cfg)
+	defer s.Close()
+	s.Run()
+	sr, err := snapshot.NewReader(bytes.NewReader(snap(t, s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, name := range []string{compMeta, compNames, compEngine, compObs, compPipeline, compChrome,
+		compAlexa, compUmbrella, compSecrank, compTranco, compTrexa, compEdges, compDNS} {
+		if out[name], err = sr.Component(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sr.End(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCheckpointBytesDeterministic pins that a checkpoint is a pure
+// function of the study configuration: the same study, run twice serially
+// and once each at 2 and 4 workers, must write every checkpoint component
+// byte-identically, in exact and sketch mode. Exact mode splits the clients
+// into one shard per worker, so this also pins that every sink's exact
+// merge is independent of the split.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	for _, sketchOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sketch=%v", sketchOn), func(t *testing.T) {
+			cfg := Config{Seed: 7, NumSites: 1500, NumClients: 400, Days: 4,
+				TrackAllCombos: true, Sketch: sketch.Config{Enabled: sketchOn}}
+			cfg.Workers = 1
+			want := checkpointComponents(t, cfg)
+			for _, workers := range []int{1, 2, 4} {
+				cfg.Workers = workers
+				got := checkpointComponents(t, cfg)
+				for name, payload := range want {
+					if !bytes.Equal(got[name], payload) {
+						t.Errorf("workers=%d: component %q differs from the first serial run", workers, name)
+					}
+				}
+			}
+		})
+	}
+}

@@ -64,12 +64,11 @@ type Config struct {
 	// (Study.FaultSeed).
 	FaultRate float64
 	// Sketch switches the aggregation layer to bounded mergeable summaries
-	// (see internal/sketch): each logical traffic shard accumulates
-	// fixed-size sketches that merge at the day barrier, instead of the
-	// engine replaying per-event buffers into exact per-site state. The
-	// summaries' dimensions are fixed constants of internal/sketch. The
-	// zero value (Enabled false) is the exact oracle, byte-identical to a
-	// study built before the sketch layer existed.
+	// (see internal/sketch): each of a fixed number of logical traffic
+	// shards accumulates fixed-size sketches that merge at the day
+	// barrier, instead of exact per-site sets and counts in one shard per
+	// worker. The summaries' dimensions are fixed constants of
+	// internal/sketch. The zero value (Enabled false) is the exact oracle.
 	Sketch sketch.Config
 	// Obs, when set, is the telemetry registry the study instruments
 	// itself against; nil makes NewStudy create a private one (retrieve it
@@ -336,7 +335,7 @@ func NewStudy(cfg Config) *Study {
 	s.Engine.AddSink(s.Umbrella)
 	s.Engine.AddSink(s.Secrank)
 	// Extra edge pipelines ride after the original five sinks, so the
-	// default configuration's sink order — and therefore its event replay
+	// default configuration's sink order — and therefore its merge order
 	// and goldens — is untouched.
 	for _, p := range s.Edges.Extras() {
 		s.Engine.AddSink(p)

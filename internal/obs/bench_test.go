@@ -5,8 +5,9 @@ import (
 	"time"
 )
 
-// The obs primitive costs, recorded in BENCH_obs.json: these are the
-// per-event prices the instrumented hot paths pay.
+// The obs primitive costs (history in EXPERIMENTS.md, "Retired one-off
+// records"): these are the per-event prices the instrumented hot paths
+// pay.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	c := NewRegistry().Counter("bench")

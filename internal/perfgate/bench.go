@@ -3,6 +3,7 @@ package perfgate
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"toplists"
@@ -130,18 +131,55 @@ func setupRankTopSet() func(n int) {
 	}
 }
 
-// setupStatsJaccard measures similarity of two half-overlapping top
-// sets — the inner loop of fig2/fig3-style stability matrices.
+// setupStatsJaccard measures a fig2-style similarity matrix: every list
+// against every metric ranking, for each of several days, at several top-k
+// cuts. The rankings are noisy copies of one popularity order over a
+// 20k-entry universe, so head overlaps are partial as in the study. Top
+// sets are built once (the study memoizes them per ranking and k); the
+// timed op is the matrix of bitset Jaccards.
 func setupStatsJaccard() func(n int) {
-	tab, ids := benchRankIDs()
-	a := rank.MustFromIDs(tab, ids).TopSetIDs(len(ids) / 2)
-	shifted := append([]names.ID(nil), ids[len(ids)/4:]...)
-	shifted = append(shifted, ids[:len(ids)/4]...)
-	b := rank.MustFromIDs(tab, shifted).TopSetIDs(len(ids) / 2)
+	const lists, metrics, days = 8, 7, 4
+	ks := []int{100, 1000, 5000, 10000}
+	tab, ids := benchRankIDs() // IDs 0..n-1, in popularity order
+	x := uint64(0x2545F4914F6CDD1D)
+	// sets[k][d] holds day d's top-k sets: the lists, then the metrics.
+	sets := make([][][]*names.Set, len(ks))
+	for d := 0; d < days; d++ {
+		day := make([]*rank.Ranking, lists+metrics)
+		for i := range day {
+			noisy := make([]uint64, len(ids))
+			for j := range noisy {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				noisy[j] = uint64(j) + x%2000
+			}
+			order := slices.Clone(ids)
+			sort.Slice(order, func(a, b int) bool { return noisy[order[a]] < noisy[order[b]] })
+			day[i] = rank.MustFromIDs(tab, order)
+		}
+		for ki, k := range ks {
+			top := make([]*names.Set, len(day))
+			for i, r := range day {
+				top[i] = r.TopSetIDs(k)
+			}
+			sets[ki] = append(sets[ki], top)
+		}
+	}
 	return func(n int) {
 		for i := 0; i < n; i++ {
-			if v := stats.JaccardIDs(a, b); v <= 0 || v > 1 {
-				panic("perfgate: bad jaccard")
+			var sum float64
+			for _, byDay := range sets {
+				for _, top := range byDay {
+					for _, l := range top[:lists] {
+						for _, m := range top[lists:] {
+							sum += stats.JaccardIDs(l, m)
+						}
+					}
+				}
+			}
+			if sum <= 0 || sum > float64(len(ks)*days*lists*metrics) {
+				panic("perfgate: bad jaccard matrix")
 			}
 		}
 	}

@@ -20,11 +20,17 @@ import (
 // the extension exists only on desktop, is absent from enterprise machines,
 // and sees nothing in private browsing mode — which is how adult and
 // gambling sites vanish from the list (Section 6.4, citing [15]).
+//
+// Alexa implements traffic.ShardedSink; its shard states are exact in both
+// modes: the panel is a few percent of the population, so the visitor sets
+// are bounded by panel volume and Alexa's sketch-mode output is identical
+// to exact mode's.
 type Alexa struct {
 	traffic.BaseSink
 	w *world.World
 
-	// Per-day per-site accumulators for the current day.
+	// Per-day per-site accumulators for the current day, merged from the
+	// shard states.
 	pageviews map[int32]float64
 	visitors  map[int32]sketch.Distinct
 
@@ -41,7 +47,7 @@ type alexaDay struct {
 
 // NewAlexa returns an Alexa provider observing panel traffic.
 func NewAlexa(w *world.World) *Alexa {
-	return &Alexa{w: w}
+	return &Alexa{w: w, pageviews: make(map[int32]float64), visitors: make(map[int32]sketch.Distinct)}
 }
 
 // Name implements List.
@@ -49,12 +55,6 @@ func (a *Alexa) Name() string { return "Alexa" }
 
 // Bucketed implements List.
 func (a *Alexa) Bucketed() bool { return false }
-
-// BeginDay implements traffic.Sink.
-func (a *Alexa) BeginDay(day int, weekend bool) {
-	a.pageviews = make(map[int32]float64)
-	a.visitors = make(map[int32]sketch.Distinct)
-}
 
 // panelVisibility is the fraction of a panelist's non-private loads of a
 // sensitive category that the extension actually reports. Beyond private
@@ -74,7 +74,8 @@ var panelVisibility = func() [world.NumCategories]float64 {
 
 // observes reports whether the panel extension records this load: panel
 // membership, private mode, and sensitivity thinning. All three are pure
-// functions of the event, so exact and sketch paths share the filter.
+// functions of the event, never of shared state, so worker goroutines may
+// call it.
 func (a *Alexa) observes(pl *traffic.PageLoad) bool {
 	if !pl.Client.OnPanel(pl.Day) || pl.Private {
 		return false
@@ -96,18 +97,67 @@ func (a *Alexa) observes(pl *traffic.PageLoad) bool {
 	return true
 }
 
-// OnPageLoad implements traffic.Sink.
-func (a *Alexa) OnPageLoad(pl *traffic.PageLoad) {
-	if !a.observes(pl) {
+// alexaShard accumulates one logical shard's panel observations.
+type alexaShard struct {
+	a         *Alexa
+	pageviews map[int32]float64
+	visitors  map[int32]sketch.Distinct
+}
+
+// NewShardState implements traffic.ShardedSink.
+func (a *Alexa) NewShardState() traffic.ShardState {
+	return &alexaShard{
+		a:         a,
+		pageviews: make(map[int32]float64),
+		visitors:  make(map[int32]sketch.Distinct),
+	}
+}
+
+// OnPageLoad implements traffic.ShardState.
+func (as *alexaShard) OnPageLoad(pl *traffic.PageLoad) {
+	if !as.a.observes(pl) {
 		return
 	}
-	a.pageviews[pl.Site]++
-	d, ok := a.visitors[pl.Site]
+	as.pageviews[pl.Site]++
+	d, ok := as.visitors[pl.Site]
 	if !ok {
 		d = sketch.NewExact()
-		a.visitors[pl.Site] = d
+		as.visitors[pl.Site] = d
 	}
 	d.Add(uint64(pl.Client.ID))
+}
+
+// OnDNSQuery implements traffic.ShardState; the panel sees page loads only.
+func (as *alexaShard) OnDNSQuery(*traffic.DNSQuery) {}
+
+// Reset implements traffic.ShardState. The visitor sets may have been
+// adopted by the day, so they are dropped, not reused.
+func (as *alexaShard) Reset() {
+	clear(as.pageviews)
+	clear(as.visitors)
+}
+
+// MergeShard implements traffic.ShardedSink: additive integer pageview
+// counts and exact set unions into the current day's accumulators. An
+// empty day adopts the shard's maps by swap, and a site new to the day
+// the shard's set.
+func (a *Alexa) MergeShard(st traffic.ShardState) {
+	as := st.(*alexaShard)
+	if len(a.pageviews) == 0 && len(a.visitors) == 0 {
+		a.pageviews, as.pageviews = as.pageviews, a.pageviews
+		a.visitors, as.visitors = as.visitors, a.visitors
+		return
+	}
+	for site, v := range as.pageviews {
+		a.pageviews[site] += v
+	}
+	for site, d := range as.visitors {
+		if day, ok := a.visitors[site]; ok {
+			day.Merge(d)
+		} else {
+			a.visitors[site] = d
+		}
+	}
 }
 
 // EndDay implements traffic.Sink: freeze the day and publish the ranking.
@@ -116,6 +166,9 @@ func (a *Alexa) EndDay(day int) {
 	for site, d := range a.visitors {
 		frozen.visitors[site] = d.Count()
 	}
+	// The frozen day keeps the pageview map.
+	a.pageviews = make(map[int32]float64)
+	clear(a.visitors)
 	a.days = append(a.days, frozen)
 	a.lists = append(a.lists, a.computeList())
 }

@@ -1,12 +1,31 @@
 package providers
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"toplists/internal/psl"
+	"toplists/internal/sketch"
 	"toplists/internal/traffic"
 	"toplists/internal/world"
 )
+
+// feedDay runs one day through a sharded sink as the engine does: the
+// day's events fold into a shard state, which the barrier merges before
+// EndDay.
+func feedDay(s traffic.ShardedSink, day int, loads []traffic.PageLoad, queries []traffic.DNSQuery) {
+	s.BeginDay(day, false)
+	st := s.NewShardState()
+	for i := range loads {
+		st.OnPageLoad(&loads[i])
+	}
+	for i := range queries {
+		st.OnDNSQuery(&queries[i])
+	}
+	s.MergeShard(st)
+	s.EndDay(day)
+}
 
 // findSiteOfCategory returns a site ID of the given category.
 func findSiteOfCategory(w *world.World, cat world.Category) (int32, bool) {
@@ -33,16 +52,11 @@ func TestUmbrellaFamilyFilterDropsAdultQueries(t *testing.T) {
 	filtered := &traffic.Client{ID: 1, HomeOpenDNS: true, FamilyFilter: true}
 	open := &traffic.Client{ID: 2, HomeOpenDNS: true}
 
-	u.BeginDay(0, false)
-	for _, q := range []traffic.DNSQuery{
+	feedDay(u, 0, nil, []traffic.DNSQuery{
 		{Day: 0, Client: filtered, IP: 10, Site: adult, Infra: -1},
 		{Day: 0, Client: filtered, IP: 10, Site: news, Infra: -1},
 		{Day: 0, Client: open, IP: 20, Site: adult, Infra: -1},
-	} {
-		q := q
-		u.OnDNSQuery(&q)
-	}
-	u.EndDay(0)
+	})
 
 	raw := u.Raw(0)
 	adultName := w.Site(adult).Hostname(0)
@@ -65,10 +79,7 @@ func TestUmbrellaIgnoresPlainHomeClients(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 82, NumSites: 500})
 	u := NewUmbrella(w, psl.Default())
 	plain := &traffic.Client{ID: 3} // neither enterprise-at-work nor OpenDNS
-	u.BeginDay(0, false)
-	q := traffic.DNSQuery{Day: 0, Client: plain, IP: 30, Site: 0, Infra: -1}
-	u.OnDNSQuery(&q)
-	u.EndDay(0)
+	feedDay(u, 0, nil, []traffic.DNSQuery{{Day: 0, Client: plain, IP: 30, Site: 0, Infra: -1}})
 	if u.Raw(0).Len() != 0 {
 		t.Fatal("plain home client's queries counted")
 	}
@@ -87,15 +98,14 @@ func TestAlexaPanelVisibilityThinsAdult(t *testing.T) {
 
 	a := NewAlexa(w)
 	panelist := &traffic.Client{ID: 5, PanelJoinDay: 0, Platform: world.Windows}
-	a.BeginDay(0, false)
 	const loads = 400
+	var pls []traffic.PageLoad
 	for i := 0; i < loads; i++ {
-		pl := traffic.PageLoad{Day: 0, Site: adult, Client: panelist, Second: int32(i)}
-		a.OnPageLoad(&pl)
-		pl2 := traffic.PageLoad{Day: 0, Site: news, Client: panelist, Second: int32(i)}
-		a.OnPageLoad(&pl2)
+		pls = append(pls,
+			traffic.PageLoad{Day: 0, Site: adult, Client: panelist, Second: int32(i)},
+			traffic.PageLoad{Day: 0, Site: news, Client: panelist, Second: int32(i)})
 	}
-	a.EndDay(0)
+	feedDay(a, 0, pls, nil)
 	pv := a.days[0].pageviews
 	if pv[news] != loads {
 		t.Fatalf("news pageviews = %v, want %d", pv[news], loads)
@@ -109,19 +119,14 @@ func TestAlexaPanelVisibilityThinsAdult(t *testing.T) {
 func TestAlexaIgnoresNonPanelAndPrivate(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 84, NumSites: 300})
 	a := NewAlexa(w)
-	a.BeginDay(0, false)
 	noPanel := &traffic.Client{ID: 1, PanelJoinDay: -1}
 	joined := &traffic.Client{ID: 2, PanelJoinDay: 0}
 	late := &traffic.Client{ID: 3, PanelJoinDay: 5}
-	for _, pl := range []traffic.PageLoad{
+	feedDay(a, 0, []traffic.PageLoad{
 		{Day: 0, Site: 0, Client: noPanel},
 		{Day: 0, Site: 0, Client: joined, Private: true},
 		{Day: 0, Site: 0, Client: late}, // joins day 5, this is day 0
-	} {
-		pl := pl
-		a.OnPageLoad(&pl)
-	}
-	a.EndDay(0)
+	}, nil)
 	if a.Raw(0).Len() != 0 {
 		t.Fatal("ineligible loads were counted")
 	}
@@ -134,14 +139,13 @@ func TestAlexaTrailingWindow(t *testing.T) {
 	// Day 0: heavy traffic to site 5; later days: nothing. The trailing
 	// window keeps site 5 ranked on later days.
 	for d := 0; d < 4; d++ {
-		a.BeginDay(d, false)
+		var pls []traffic.PageLoad
 		if d == 0 {
 			for i := 0; i < 10; i++ {
-				pl := traffic.PageLoad{Day: 0, Site: 5, Client: panelist, Second: int32(i)}
-				a.OnPageLoad(&pl)
+				pls = append(pls, traffic.PageLoad{Day: 0, Site: 5, Client: panelist, Second: int32(i)})
 			}
 		}
-		a.EndDay(d)
+		feedDay(a, d, pls, nil)
 	}
 	if !a.Raw(3).Contains(w.Site(5).Domain) {
 		t.Error("window-averaged rank lost the site")
@@ -154,12 +158,11 @@ func TestSecrankWindowSmoothing(t *testing.T) {
 	s.Window = 3
 	cn := &traffic.Client{ID: 1, Country: world.CN}
 	for d := 0; d < 5; d++ {
-		s.BeginDay(d, false)
+		var qs []traffic.DNSQuery
 		if d == 0 {
-			q := traffic.DNSQuery{Day: 0, Client: cn, IP: 1, Site: 7, Infra: -1}
-			s.OnDNSQuery(&q)
+			qs = append(qs, traffic.DNSQuery{Day: 0, Client: cn, IP: 1, Site: 7, Infra: -1})
 		}
-		s.EndDay(d)
+		feedDay(s, d, nil, qs)
 	}
 	name := w.Site(7).Domain
 	if !s.Raw(1).Contains(name) || !s.Raw(2).Contains(name) {
@@ -173,11 +176,8 @@ func TestSecrankWindowSmoothing(t *testing.T) {
 func TestSecrankIgnoresNonCN(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 87, NumSites: 300})
 	s := NewSecrank(w, psl.Default())
-	s.BeginDay(0, false)
 	us := &traffic.Client{ID: 1, Country: world.US}
-	q := traffic.DNSQuery{Day: 0, Client: us, IP: 1, Site: 0, Infra: -1}
-	s.OnDNSQuery(&q)
-	s.EndDay(0)
+	feedDay(s, 0, nil, []traffic.DNSQuery{{Day: 0, Client: us, IP: 1, Site: 0, Infra: -1}})
 	if s.Raw(0).Len() != 0 {
 		t.Fatal("non-CN query counted")
 	}
@@ -187,20 +187,15 @@ func TestSecrankDiversityWeighting(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 88, NumSites: 300})
 	s := NewSecrank(w, psl.Default())
 	s.Window = 1
-	s.BeginDay(0, false)
 	// A diverse IP (queries two domains) and a single-purpose IP each
 	// query site 3 once; a third domain gets only the diverse IP's vote.
 	diverse := &traffic.Client{ID: 1, Country: world.CN}
 	single := &traffic.Client{ID: 2, Country: world.CN}
-	for _, q := range []traffic.DNSQuery{
+	feedDay(s, 0, nil, []traffic.DNSQuery{
 		{Day: 0, Client: diverse, IP: 1, Site: 3, Infra: -1},
 		{Day: 0, Client: diverse, IP: 1, Site: 4, Infra: -1},
 		{Day: 0, Client: single, IP: 2, Site: 3, Infra: -1},
-	} {
-		q := q
-		s.OnDNSQuery(&q)
-	}
-	s.EndDay(0)
+	})
 	r := s.Raw(0)
 	r3, _ := r.RankOf(w.Site(3).Domain)
 	r4, _ := r.RankOf(w.Site(4).Domain)
@@ -209,5 +204,46 @@ func TestSecrankDiversityWeighting(t *testing.T) {
 	}
 	if r3 >= r4 {
 		t.Errorf("site with two voters ranked %d, not above single-voter site %d", r3, r4)
+	}
+}
+
+// TestShardedProvidersMatchAcrossWorkers runs the panel and resolver
+// providers over engines of 1 and 4 workers, in exact and sketch mode, and
+// requires byte-identical checkpoint payloads: exact merges are order-free
+// and sketch merges run in canonical shard order, so the worker count must
+// never show. The 4-worker runs also give the race detector concurrent
+// shard states to watch.
+func TestShardedProvidersMatchAcrossWorkers(t *testing.T) {
+	run := func(workers int, sketchOn bool) [][]byte {
+		w := world.Generate(world.Config{Seed: 89, NumSites: 1500})
+		l := psl.Default()
+		a, u, s := NewAlexa(w), NewUmbrella(w, l), NewSecrank(w, l)
+		if sketchOn {
+			u.SetSketch()
+			s.SetSketch()
+		}
+		e := traffic.NewEngine(w, traffic.Config{Seed: 90, NumClients: 400, Days: 3,
+			Workers: workers, Sketch: sketch.Config{Enabled: sketchOn}})
+		e.AddSink(a)
+		e.AddSink(u)
+		e.AddSink(s)
+		e.Run()
+		var out [][]byte
+		for _, snap := range []func(io.Writer) error{a.Snapshot, u.Snapshot, s.Snapshot} {
+			var buf bytes.Buffer
+			if err := snap(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, buf.Bytes())
+		}
+		return out
+	}
+	for _, sketchOn := range []bool{false, true} {
+		want, got := run(1, sketchOn), run(4, sketchOn)
+		for i, name := range []string{"Alexa", "Umbrella", "Secrank"} {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("sketch=%v: %s snapshot differs between 1 and 4 workers", sketchOn, name)
+			}
+		}
 	}
 }

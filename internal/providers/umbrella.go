@@ -2,6 +2,7 @@ package providers
 
 import (
 	"math"
+	"slices"
 
 	"toplists/internal/names"
 	"toplists/internal/psl"
@@ -25,29 +26,30 @@ import (
 //   - Ties deep in the list break alphabetically, the behaviour prior work
 //     observed [25] and the paper blames for Umbrella's poor Spearman
 //     correlations (Section 5.2).
+//
+// Umbrella implements traffic.ShardedSink. Shard states never touch the
+// shared name interner — worker goroutines key names by nameHash, a pure
+// function of the name string — and EndDay, on the engine goroutine,
+// interns the day's names in a canonical order, so output is
+// byte-identical at every worker count.
 type Umbrella struct {
 	traffic.BaseSink
 	w   *world.World
 	psl *psl.List
 	tab *names.Table
 
-	// hostID memoizes the interned FQDN per (site, subdomain) or infra
-	// name, so the month's query stream builds each hostname string once.
-	hostID map[hostKey]names.ID
-	// suffixID memoizes per FQDN the interned public suffix to credit;
-	// the FQDN's own ID marks "no separate suffix" (empty, or the name is
-	// itself a suffix).
-	suffixID map[names.ID]names.ID
+	// nameOf resolves every name hash a shard has credited back to its
+	// name.
+	nameOf map[uint64]string
 
-	// ips[id] is the set of client IPs that queried the name today. Plain
-	// map sets: enterprise office IPs are few and heavily shared.
-	ips map[names.ID]map[uint32]struct{}
-
-	// Sketch mode (see sketchmode.go): bounded per-shard summaries replace
-	// the ips sets, merged into dayTKD at the barrier.
+	// Day state, merged from the shard states. Exact mode keeps the set
+	// of client IPs per name (plain map sets: enterprise office IPs are
+	// few and heavily shared); sketch mode a bounded candidate summary
+	// with a per-candidate HLL of client IPs. shardMem and memPeak are the
+	// sketch footprint gauge.
 	sketched bool
+	dayIPs   map[uint64]map[uint32]struct{}
 	dayTKD   *sketch.TopKDistinct
-	nameOf   map[uint64]string
 	shardMem int
 	memPeak  int
 
@@ -61,11 +63,11 @@ type hostKey int64
 // NewUmbrella returns an Umbrella provider observing the corporate resolver.
 func NewUmbrella(w *world.World, l *psl.List) *Umbrella {
 	return &Umbrella{
-		w:        w,
-		psl:      l,
-		tab:      w.Interner(),
-		hostID:   make(map[hostKey]names.ID),
-		suffixID: make(map[names.ID]names.ID),
+		w:      w,
+		psl:    l,
+		tab:    w.Interner(),
+		nameOf: make(map[uint64]string),
+		dayIPs: make(map[uint64]map[uint32]struct{}),
 	}
 }
 
@@ -75,16 +77,75 @@ func (u *Umbrella) Name() string { return "Umbrella" }
 // Bucketed implements List.
 func (u *Umbrella) Bucketed() bool { return false }
 
-// BeginDay implements traffic.Sink.
-func (u *Umbrella) BeginDay(day int, weekend bool) {
-	if u.sketched {
-		return
-	}
-	u.ips = make(map[names.ID]map[uint32]struct{})
+// SetSketch switches the provider to sketch-backed aggregation. Must be
+// called before the simulation starts.
+func (u *Umbrella) SetSketch() {
+	u.sketched = true
+	u.dayTKD = sketch.NewShardTopKDistinct()
 }
 
-// OnDNSQuery implements traffic.Sink.
-func (u *Umbrella) OnDNSQuery(q *traffic.DNSQuery) {
+// nameHash returns a run-stable 64-bit key for a DNS name: FNV-1a spread
+// through the sketch finalizer. Interned IDs are NOT usable as shard keys
+// — interning order would depend on scheduling once shards run
+// concurrently — but the hash of the string is a pure function of the name.
+func nameHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// namedHash is a name and its nameHash.
+type namedHash struct {
+	h    uint64
+	name string
+}
+
+// umbrellaShard accumulates one logical shard's resolver view, keyed by
+// name hash: exact per-name IP sets, or in sketch mode a space-saving
+// candidate set with a per-candidate HLL of client IPs. The hostname and
+// suffix memos are per shard (no shared-map races) and survive Reset —
+// they are month-stable facts, not day state.
+type umbrellaShard struct {
+	u   *Umbrella
+	ips map[uint64]map[uint32]struct{} // exact mode
+	tkd *sketch.TopKDistinct           // sketch mode
+
+	// hostHash memoizes (site, subdomain)/infra -> name hash; suffixHash
+	// memoizes fqdn hash -> credited suffix hash (self when none).
+	hostHash   map[hostKey]uint64
+	suffixHash map[uint64]uint64
+	// fresh lists the names this shard hashed since its last merge, for
+	// the sink's nameOf.
+	fresh []namedHash
+}
+
+// NewShardState implements traffic.ShardedSink.
+func (u *Umbrella) NewShardState() traffic.ShardState {
+	us := &umbrellaShard{
+		u:          u,
+		hostHash:   make(map[hostKey]uint64),
+		suffixHash: make(map[uint64]uint64),
+	}
+	if u.sketched {
+		us.tkd = sketch.NewShardTopKDistinct()
+	} else {
+		us.ips = make(map[uint64]map[uint32]struct{})
+	}
+	return us
+}
+
+// OnPageLoad implements traffic.ShardState; the resolver sees queries only.
+func (us *umbrellaShard) OnPageLoad(*traffic.PageLoad) {}
+
+// OnDNSQuery implements traffic.ShardState.
+func (us *umbrellaShard) OnDNSQuery(q *traffic.DNSQuery) {
+	u := us.u
 	if !q.AtWork && !q.Client.HomeOpenDNS {
 		// Umbrella's vantage is corporate egress plus the minority of home
 		// networks pointed at OpenDNS.
@@ -101,49 +162,47 @@ func (u *Umbrella) OnDNSQuery(q *traffic.DNSQuery) {
 	} else {
 		key = -1 - hostKey(q.Infra)
 	}
-	id := u.fqdnID(key, q)
-	u.credit(id, q.IP)
+	h, ok := us.hostHash[key]
+	if !ok {
+		var fqdn string
+		if q.Site >= 0 {
+			fqdn = u.w.Site(q.Site).Hostname(int(q.SubIdx))
+		} else {
+			fqdn = u.w.Infra[q.Infra].FQDN
+		}
+		h = nameHash(fqdn)
+		us.hostHash[key] = h
+		us.fresh = append(us.fresh, namedHash{h, fqdn})
+		sh := h
+		if suffix, _ := u.psl.PublicSuffix(fqdn); suffix != "" && suffix != fqdn {
+			sh = nameHash(suffix)
+			us.fresh = append(us.fresh, namedHash{sh, suffix})
+		}
+		us.suffixHash[h] = sh
+	}
+	us.credit(h, q.IP)
 	// Umbrella counts the names clients actually query: the signal for one
 	// website splits across its hostnames rather than aggregating by
 	// registrable domain — a big part of why the list ranks websites
 	// poorly even when it includes them (Section 5.2). Resolution of the
 	// suffix chain (TLD servers) is also observed, which is how bare
 	// suffixes like "com" top the list.
-	if sid := u.suffixOf(id); sid != id {
-		u.credit(sid, q.IP)
+	if sh := us.suffixHash[h]; sh != h {
+		us.credit(sh, q.IP)
 	}
 }
 
-// fqdnID returns the interned FQDN for a query, building the hostname
-// string only on the first query of each (site, subdomain) or infra name.
-func (u *Umbrella) fqdnID(key hostKey, q *traffic.DNSQuery) names.ID {
-	if id, ok := u.hostID[key]; ok {
-		return id
+func (us *umbrellaShard) credit(h uint64, ip uint32) {
+	if us.u.sketched {
+		us.tkd.Add(h, uint64(ip))
+		return
 	}
-	var fqdn string
-	if q.Site >= 0 {
-		fqdn = u.w.Site(q.Site).Hostname(int(q.SubIdx))
-	} else {
-		fqdn = u.w.Infra[q.Infra].FQDN
+	s, ok := us.ips[h]
+	if !ok {
+		s = make(map[uint32]struct{}, 4)
+		us.ips[h] = s
 	}
-	id := u.tab.Intern(fqdn)
-	u.hostID[key] = id
-	return id
-}
-
-// suffixOf returns the interned public suffix to credit for fqdn id, or id
-// itself when no separate suffix should be credited.
-func (u *Umbrella) suffixOf(id names.ID) names.ID {
-	if sid, ok := u.suffixID[id]; ok {
-		return sid
-	}
-	fqdn := u.tab.Lookup(id)
-	sid := id
-	if suffix, _ := u.psl.PublicSuffix(fqdn); suffix != "" && suffix != fqdn {
-		sid = u.tab.Intern(suffix)
-	}
-	u.suffixID[id] = sid
-	return sid
+	s[ip] = struct{}{}
 }
 
 // familyFiltered lists the categories OpenDNS home filtering blocks.
@@ -155,24 +214,80 @@ var familyFiltered = func() [world.NumCategories]bool {
 	return v
 }()
 
-func (u *Umbrella) credit(id names.ID, ip uint32) {
-	s, ok := u.ips[id]
-	if !ok {
-		s = make(map[uint32]struct{}, 4)
-		u.ips[id] = s
-	}
-	s[ip] = struct{}{}
-}
-
-// EndDay implements traffic.Sink.
-func (u *Umbrella) EndDay(day int) {
-	if u.sketched {
-		u.endDaySketch(day)
+// Reset implements traffic.ShardState: day state clears, memos persist.
+func (us *umbrellaShard) Reset() {
+	us.fresh = us.fresh[:0]
+	if us.u.sketched {
+		us.tkd.Reset()
 		return
 	}
-	scored := make([]rank.ScoredID, 0, len(u.ips))
-	for id, set := range u.ips {
-		scored = append(scored, rank.ScoredID{ID: id, Score: quantize(len(set))})
+	clear(us.ips)
+}
+
+// MergeShard implements traffic.ShardedSink: IP sets union (an empty day
+// state adopts the shard's sets by swap), sketch summaries merge.
+func (u *Umbrella) MergeShard(st traffic.ShardState) {
+	us := st.(*umbrellaShard)
+	for _, n := range us.fresh {
+		if _, ok := u.nameOf[n.h]; !ok {
+			u.nameOf[n.h] = n.name
+		}
+	}
+	if u.sketched {
+		u.shardMem += us.tkd.MemBytes()
+		u.dayTKD.Merge(us.tkd)
+		return
+	}
+	if len(u.dayIPs) == 0 {
+		u.dayIPs, us.ips = us.ips, u.dayIPs
+		return
+	}
+	// The shard's Reset drops its references without touching the sets,
+	// so names new to the day adopt the shard's set.
+	for h, set := range us.ips {
+		day, ok := u.dayIPs[h]
+		if !ok {
+			u.dayIPs[h] = set
+			continue
+		}
+		for ip := range set {
+			day[ip] = struct{}{}
+		}
+	}
+}
+
+// EndDay implements traffic.Sink: publish the day's list, names scored by
+// their quantized unique-IP count — exact, or the candidate's HLL estimate
+// in sketch mode. Names are interned here, serially, in canonical order:
+// ascending hash in exact mode, candidate order in sketch mode.
+func (u *Umbrella) EndDay(day int) {
+	var scored []rank.ScoredID
+	score := func(h uint64, n int) {
+		id := u.tab.Intern(u.nameOf[h])
+		scored = append(scored, rank.ScoredID{ID: id, Score: quantize(n)})
+	}
+	if u.sketched {
+		entries := u.dayTKD.Entries(nil)
+		scored = make([]rank.ScoredID, 0, len(entries))
+		for _, e := range entries {
+			score(e.Key, max(int(math.Round(u.dayTKD.DistinctAt(e.Slot))), 1))
+		}
+		if m := u.shardMem + u.dayTKD.MemBytes(); m > u.memPeak {
+			u.memPeak = m
+		}
+		u.shardMem = 0
+		u.dayTKD.Reset()
+	} else {
+		keys := make([]uint64, 0, len(u.dayIPs))
+		for h := range u.dayIPs {
+			keys = append(keys, h)
+		}
+		slices.Sort(keys)
+		scored = make([]rank.ScoredID, 0, len(keys))
+		for _, h := range keys {
+			score(h, len(u.dayIPs[h]))
+		}
+		clear(u.dayIPs)
 	}
 	// Alphabetical tie-break: the signature Umbrella artifact.
 	u.lists = append(u.lists, rank.FromScoredIDs(u.tab, scored, rank.TieLexicographic))
@@ -185,6 +300,11 @@ func (u *Umbrella) EndDay(day int) {
 func quantize(count int) float64 {
 	return math.Floor(math.Log2(float64(count)))
 }
+
+// SketchMemPeak returns the high-water logical sketch footprint that met at
+// a day barrier. Deterministic: a pure function of configuration and seed;
+// 0 in exact mode.
+func (u *Umbrella) SketchMemPeak() int { return u.memPeak }
 
 // NumDays returns how many days have been published.
 func (u *Umbrella) NumDays() int { return len(u.lists) }

@@ -1,16 +1,15 @@
 package sketch
 
-// Config selects between exact and sketch-backed aggregation. The zero
-// value (Enabled false) is the exact oracle: every consumer falls back to
-// the precise data structures it used before the sketch layer existed,
-// byte-identical to historical output. With Enabled set, consumers
-// accumulate bounded mergeable summaries per traffic shard and combine them
-// at the day barrier. The summaries' dimensions are fixed (the constants
+// Config selects between exact and sketch-backed aggregation. Either way
+// consumers accumulate per traffic shard and combine the shards at the day
+// barrier. The zero value (Enabled false) is the exact oracle: the shard
+// states hold exact sets and counts. With Enabled set, they hold bounded
+// mergeable summaries. The summaries' dimensions are fixed (the constants
 // below), so sketch-mode output is a function of the study seed and
 // configuration alone.
 type Config struct {
 	// Enabled switches sketch-backed aggregation on. Off (the default) is
-	// the exact path.
+	// exact aggregation.
 	Enabled bool
 }
 

@@ -8,9 +8,9 @@
 // is either exactly (CountMin: cell-wise sums; HLL: register maxima) or
 // within proven bounds (SpaceSaving) equal to summarizing the concatenated
 // stream — which is what lets the traffic engine accumulate bounded state
-// per shard and combine fixed-size summaries at the day barrier instead of
-// replaying per-event buffers. With Config.Enabled off the consumers fall
-// back to exact structures, the oracle the sketch path is tested against.
+// per shard and combine fixed-size summaries at the day barrier. With
+// Config.Enabled off the consumers keep exact structures in the same shard
+// states, the oracle the sketch mode is tested against.
 package sketch
 
 import (

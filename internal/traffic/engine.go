@@ -60,18 +60,19 @@ type Config struct {
 	// 0.025).
 	HomeOpenDNSShare float64
 	// Workers is the number of goroutines simulating clients within a day.
-	// 0 (the default) uses one worker per available CPU. With 1 the day's
-	// shards run in order on the calling goroutine and events stream
-	// straight into the sinks; with more, each shard buffers its events
-	// and the buffers are replayed in shard order at the day barrier.
-	// Every setting produces the identical event stream (see sharded.go).
+	// 0 (the default) uses one worker per available CPU. Sharded sinks fold
+	// each logical shard into its own state, merged in shard order at the
+	// day barrier. With 1 worker the shards run in order on the calling
+	// goroutine and events stream straight into the plain sinks; with more,
+	// each shard buffers its plain-sink events and the buffers are replayed
+	// in shard order at the barrier. Every setting produces identical sink
+	// contents (see sharded.go).
 	Workers int
-	// Sketch enables bounded per-shard aggregation: the day's clients are
-	// split into sketchShards fixed logical shards (independent of
-	// Workers), sinks implementing ShardedSink accumulate one summary per
-	// logical shard, and the day barrier merges the summaries in ascending
-	// shard order instead of feeding those sinks the event stream. Off
-	// (the zero value) feeds every sink the exact event stream.
+	// Sketch selects bounded aggregation: the day's clients are split into
+	// sketchShards fixed logical shards (independent of Workers) and sinks
+	// implementing ShardedSink accumulate bounded summaries per logical
+	// shard. Off (the zero value), the shard count is the worker count and
+	// sharded sinks keep exact summaries.
 	Sketch sketch.Config
 	// Ablate disables selected engine mechanisms for ablation studies.
 	Ablate Ablations

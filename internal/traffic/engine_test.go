@@ -328,8 +328,8 @@ func BenchmarkEngineDayTraced(b *testing.B) { benchEngineDay(b, true) }
 
 // benchEngineDay measures one simulated day; with traced set, a live
 // Tracer is attached through the registry, so the pair pins the cost of
-// run-timeline tracing on the engine's hottest path (the budget is <=2%,
-// recorded in BENCH_trace.json).
+// run-timeline tracing on the engine's hottest path (the budget is <=2%;
+// history in EXPERIMENTS.md, "Retired one-off records").
 func benchEngineDay(b *testing.B, traced bool) {
 	w := world.Generate(world.Config{Seed: 1, NumSites: 5000})
 	reg := obs.NewRegistry()

@@ -126,13 +126,13 @@ type Sink interface {
 	EndDay(day int)
 }
 
-// ShardState is the bounded per-shard accumulation state of a ShardedSink:
-// a fixed-size summary (sketches, small maps) that one logical traffic
-// shard's events fold into. The engine owns the lifecycle — states are
-// created once per (sink, logical shard), updated from exactly one worker
-// goroutine at a time, merged at the day barrier, and Reset for reuse the
-// next day. Implementations must not touch shared sink state from
-// OnPageLoad/OnDNSQuery.
+// ShardState is the per-shard accumulation state of a ShardedSink: the
+// summaries (exact sets and counts, or bounded sketches in sketch mode)
+// that one logical traffic shard's events fold into. The engine owns the
+// lifecycle — states are created once per (sink, logical shard), updated
+// from exactly one worker goroutine at a time, merged at the day barrier,
+// and Reset for reuse the next day. Implementations must not touch shared
+// sink state from OnPageLoad/OnDNSQuery.
 type ShardState interface {
 	OnPageLoad(pl *PageLoad)
 	OnDNSQuery(q *DNSQuery)
@@ -140,15 +140,17 @@ type ShardState interface {
 	Reset()
 }
 
-// ShardedSink is a Sink that can aggregate through bounded per-shard
-// summaries instead of the event stream. In sketch mode (see
-// Config.Sketch) the engine feeds each logical shard's page loads and DNS
-// queries into a ShardState and, at the day barrier, hands the states back
-// via MergeShard in ascending logical-shard order — a canonical merge
-// order, so sink contents are byte-identical at every worker count. Bot
-// batches and Begin/EndDay still arrive through the plain Sink interface,
-// on the engine goroutine. In exact mode the engine treats a ShardedSink
-// like any other Sink and never calls NewShardState or MergeShard.
+// ShardedSink is a Sink that aggregates page loads and DNS queries through
+// per-shard states instead of the event stream, in both exact and sketch
+// mode (see Config.Sketch). The engine feeds each logical shard's page
+// loads and DNS queries into a ShardState and, at the day barrier, hands
+// the states back via MergeShard in ascending logical-shard order — the
+// serial event order, so sink contents are byte-identical at every worker
+// count. In exact mode the shard count is the worker count, so an exact
+// merge must give the same result for any split of the clients into
+// contiguous shards. Bot batches and Begin/EndDay still arrive through the
+// plain Sink interface, on the engine goroutine; the page-load and DNS
+// methods of that interface are never called.
 type ShardedSink interface {
 	Sink
 	// NewShardState returns a fresh, empty per-shard accumulator.
@@ -156,7 +158,8 @@ type ShardedSink interface {
 	// MergeShard folds a shard's summary into the sink's day state. Called
 	// serially, in ascending logical-shard order, between the day's barrier
 	// and EndDay. The state remains owned by the engine (it is Reset and
-	// reused); implementations must copy or merge, not retain.
+	// reused): implementations must merge its contents, or swap them for
+	// empty ones of their own, but not retain the state itself.
 	MergeShard(st ShardState)
 }
 

@@ -16,6 +16,8 @@ import (
 type hashSink struct {
 	h      uint64
 	events int
+	// flow counts the page loads and DNS queries among the events.
+	flow int
 }
 
 func (s *hashSink) mix(vs ...uint64) {
@@ -42,6 +44,7 @@ func (s *hashSink) BeginDay(d int, weekend bool) {
 func (s *hashSink) EndDay(d int) { s.mix(2, uint64(d)) }
 
 func (s *hashSink) OnPageLoad(pl *PageLoad) {
+	s.flow++
 	s.mix(3, uint64(pl.Day), uint64(pl.Second), uint64(pl.Site),
 		uint64(pl.SubIdx), uint64(pl.Client.ID), uint64(pl.IP),
 		b2u(pl.AtWork), b2u(pl.Private), b2u(pl.Root),
@@ -61,6 +64,7 @@ func (s *hashSink) OnBotBatch(bb *BotBatch) {
 }
 
 func (s *hashSink) OnDNSQuery(q *DNSQuery) {
+	s.flow++
 	s.mix(5, uint64(q.Day), uint64(q.Client.ID), uint64(q.IP),
 		b2u(q.AtWork), uint64(q.Site), uint64(q.SubIdx), uint64(q.Infra))
 }
@@ -74,10 +78,12 @@ func b2u(b bool) uint64 {
 
 // shardHashSink is a ShardedSink whose states hash their shard's events in
 // arrival order. MergeShard folds each state's hash into merged, so the
-// final value pins both every shard's event stream and the merge order.
+// final value pins both every shard's event stream and the merge order;
+// folded totals the page loads and DNS queries the states saw.
 type shardHashSink struct {
 	BaseSink
 	merged hashSink
+	folded int
 }
 
 type shardHashState struct{ hashSink }
@@ -89,13 +95,24 @@ func (s *shardHashSink) NewShardState() ShardState { return &shardHashState{} }
 func (s *shardHashSink) MergeShard(st ShardState) {
 	hs := st.(*shardHashState)
 	s.merged.mix(hs.h, uint64(hs.events))
+	s.folded += hs.flow
+}
+
+// engineRun is what engineHash observes of one engine run: a plain sink's
+// event stream and a shardHashSink's merges.
+type engineRun struct {
+	hash   uint64 // plain sink's event-stream hash
+	events int    // plain sink's event count
+	flow   int    // page loads and DNS queries the plain sink saw
+	merged uint64 // sharded sink's merge hash
+	merges int    // sharded sink's MergeShard calls
+	folded int    // page loads and DNS queries folded into its shard states
 }
 
 // engineHash runs a full engine with the given worker count and sketch
-// config. It returns the event-stream hash and event count of a plain
-// sink, and the merge hash of a shardHashSink registered beside it (0 in
-// exact mode, where the engine treats that sink as a plain one).
-func engineHash(t testing.TB, seed uint64, clients, days, workers int, sk sketch.Config) (h uint64, events int, merged uint64) {
+// config, with a plain hashSink and a shardHashSink registered side by
+// side.
+func engineHash(t testing.TB, seed uint64, clients, days, workers int, sk sketch.Config) engineRun {
 	t.Helper()
 	w := world.Generate(world.Config{Seed: seed, NumSites: 1200})
 	e := NewEngine(w, Config{
@@ -105,44 +122,50 @@ func engineHash(t testing.TB, seed uint64, clients, days, workers int, sk sketch
 	e.AddSink(hs)
 	e.AddSink(ss)
 	e.Run()
-	return hs.h, hs.events, ss.merged.h
+	return engineRun{hash: hs.h, events: hs.events, flow: hs.flow,
+		merged: ss.merged.h, merges: ss.merged.events, folded: ss.folded}
 }
 
 // TestParallelMatchesSerial is the engine-level determinism oracle: at
 // every worker count — including counts that exceed the population — a
 // plain sink must observe the exact event stream of the one-worker exact
-// run. That holds in sketch mode too, where the same plain sink shares
-// the engine with a sharded sink whose merges must not depend on the
-// worker count either.
+// run, in both modes. A sharded sink registered beside it is merged from
+// shard states in both modes and must fold exactly the plain sink's page
+// loads and DNS queries. In sketch mode its merge hash must not depend on
+// the worker count either; in exact mode there is one shard per worker, so
+// only the totals are comparable.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 9000} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			wantH, wantN, _ := engineHash(t, seed, 150, 3, 1, sketch.Config{})
-			if wantN == 0 {
+			want := engineHash(t, seed, 150, 3, 1, sketch.Config{})
+			if want.events == 0 {
 				t.Fatal("serial run produced no events")
 			}
-			for _, workers := range []int{2, 3, 8, 151, 1000} {
-				gotH, gotN, _ := engineHash(t, seed, 150, 3, workers, sketch.Config{})
-				if gotN != wantN || gotH != wantH {
-					t.Errorf("workers=%d: events=%d hash=%#x, want events=%d hash=%#x",
-						workers, gotN, gotH, wantN, wantH)
+			check := func(mode string, workers int, got engineRun) {
+				if got.events != want.events || got.hash != want.hash {
+					t.Errorf("%s workers=%d: events=%d hash=%#x, want events=%d hash=%#x",
+						mode, workers, got.events, got.hash, want.events, want.hash)
 				}
+				if got.merges == 0 {
+					t.Fatalf("%s workers=%d: sharded sink saw no merges", mode, workers)
+				}
+				if got.folded != want.flow {
+					t.Errorf("%s workers=%d: shard states folded %d events, plain sink saw %d",
+						mode, workers, got.folded, want.flow)
+				}
+			}
+			for _, workers := range []int{1, 2, 3, 8, 151, 1000} {
+				check("exact", workers, engineHash(t, seed, 150, 3, workers, sketch.Config{}))
 			}
 			var wantMerged uint64
 			for _, workers := range []int{1, 2, 4, 8} {
-				gotH, gotN, merged := engineHash(t, seed, 150, 3, workers, sketch.Config{Enabled: true})
-				if gotN != wantN || gotH != wantH {
-					t.Errorf("sketch workers=%d: events=%d hash=%#x, want events=%d hash=%#x",
-						workers, gotN, gotH, wantN, wantH)
-				}
-				if merged == 0 {
-					t.Fatalf("sketch workers=%d: sharded sink saw no merges", workers)
-				}
+				got := engineHash(t, seed, 150, 3, workers, sketch.Config{Enabled: true})
+				check("sketch", workers, got)
 				if workers == 1 {
-					wantMerged = merged
-				} else if merged != wantMerged {
-					t.Errorf("sketch workers=%d: merge hash %#x, want %#x", workers, merged, wantMerged)
+					wantMerged = got.merged
+				} else if got.merged != wantMerged {
+					t.Errorf("sketch workers=%d: merge hash %#x, want %#x", workers, got.merged, wantMerged)
 				}
 			}
 		})

@@ -15,23 +15,24 @@ import (
 // The execution model. A day's clients are split into contiguous LOGICAL
 // shards (shardRanges). In sketch mode the shard count is sketchShards,
 // fixed independently of the worker count because it shapes sketch output;
-// in exact mode it is the worker count, which does not affect output.
-// Each shard simulates its clients with private scratch state. Sinks
-// implementing ShardedSink (sketch mode only) fold every shard's page loads
-// and DNS queries into one bounded ShardState per (sink, shard); all other
-// sinks — the plain sinks — observe the event stream itself.
+// in exact mode it is the worker count, and exact merges are order-free by
+// construction, so it does not affect output. Each shard simulates its
+// clients with private scratch state. Sinks implementing ShardedSink fold
+// every shard's page loads and DNS queries into one ShardState per (sink,
+// shard), in both modes; all other sinks — the plain sinks — observe the
+// event stream itself.
 //
 // With one worker the shards run in ascending order on the engine
 // goroutine and events stream straight into the plain sinks, unbuffered.
 // With more, workers pull shards from a shared counter and each shard
-// records its plain-sink events in a private buffer; no sink is touched
-// from a worker goroutine. After the barrier the engine merges the shard
-// states and replays the buffers in ascending shard order. Either way the
-// plain sinks observe exactly the serial event stream and every
-// ShardedSink the same merge sequence, so sink contents are byte-identical
-// at every worker count: per-client RNG streams are derived by index
-// (daySrc.At(i)), never shared, and the merge order is a pure function of
-// client IDs.
+// records its plain-sink events in a private buffer; no plain sink is
+// touched from a worker goroutine. After the barrier the engine merges the
+// shard states and replays the buffers in ascending shard order. Either way
+// the plain sinks observe exactly the serial event stream and every
+// ShardedSink merges its states in ascending shard order, so sink contents
+// are byte-identical at every worker count: per-client RNG streams are
+// derived by index (daySrc.At(i)), never shared, and the merge order is a
+// pure function of client IDs.
 
 // sketchShards is the number of logical shards whose summaries meet at the
 // sketch-mode day barrier. Workers process logical shards and the barrier
@@ -191,16 +192,16 @@ func (e *Engine) workerCount() int {
 	return nw
 }
 
-// splitSinks partitions the registered sinks once: in sketch mode sinks
-// implementing ShardedSink aggregate through ShardStates; every other sink
-// (every sink, in exact mode) observes the event stream.
+// splitSinks partitions the registered sinks once: sinks implementing
+// ShardedSink aggregate through ShardStates; every other sink observes the
+// event stream.
 func (e *Engine) splitSinks() {
 	if e.sinksSplit {
 		return
 	}
 	e.sinksSplit = true
 	for _, s := range e.sinks {
-		if ss, ok := s.(ShardedSink); ok && e.Cfg.Sketch.Enabled {
+		if ss, ok := s.(ShardedSink); ok {
 			e.shardedSinks = append(e.shardedSinks, ss)
 		} else {
 			e.plainSinks = append(e.plainSinks, s)
@@ -347,8 +348,8 @@ func (e *Engine) runDayClients(ctx context.Context, d int, weekend bool, daySrc 
 			return err
 		}
 	}
-	// The barrier: ascending shard order, fixed-size summaries into
-	// sharded sinks, buffered replay for the plain sinks.
+	// The barrier: ascending shard order, shard states into the sharded
+	// sinks, buffered replay for the plain sinks.
 	for si := range shards {
 		ls := e.shards[si]
 		for i, v := range ls.humanReqs {

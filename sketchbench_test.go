@@ -13,13 +13,14 @@ import (
 	"toplists/internal/sketch"
 )
 
-// The sketch-scale harness behind BENCH_sketch.json. The point of the
-// sketch layer is that per-day aggregation state stops scaling with event
-// volume: a month of traffic from a million clients aggregates through
-// fixed-size summaries merged at each day barrier. The env-gated test below
-// runs that scale (hours of wall clock on one core) and reports events/sec
-// plus the process peak RSS; BenchmarkSketchMonth is the small-default
-// always-on variant CI's bench smoke compiles and runs.
+// The sketch-scale harness (its recorded runs are in EXPERIMENTS.md,
+// "Retired one-off records"). The point of the sketch layer is that per-day
+// aggregation state stops scaling with event volume: a month of traffic
+// from a million clients aggregates through fixed-size summaries merged at
+// each day barrier. The env-gated test below runs that scale (hours of wall
+// clock on one core) and reports events/sec plus the process peak RSS;
+// BenchmarkSketchMonth is the small-default always-on variant CI's bench
+// smoke compiles and runs.
 
 // vmHWMBytes reads the process high-water resident set from /proc.
 func vmHWMBytes() int64 {
@@ -95,7 +96,7 @@ func runSketchScale(tb testing.TB, sites, clients, days int) {
 	}
 }
 
-// TestSketchScale is the BENCH_sketch.json producer: set
+// TestSketchScale is the sketch-scale measurement: set
 // TOPLISTS_SKETCH_BENCH=1 (and optionally TOPLISTS_SKETCH_SITES / _CLIENTS /
 // _DAYS) to run the million-client-scale measurement. Skipped otherwise —
 // it is a measurement harness, not a correctness gate.

@@ -10,15 +10,15 @@ import (
 	"toplists/internal/world"
 )
 
-// The vantage-grid scale harness behind BENCH_vantage.json. Widening the
-// measurement grid from the single transparent edge to 3 vantages x 3
-// backends multiplies the number of edge pipelines fed per event by up to
-// nine; the cost the refactor actually adds is one visibility hash plus a
-// per-backend site mask per (event, extra pipeline). The env-gated test
-// below measures events/sec and process peak RSS at a chosen grid so the
-// baseline (1x1) and the full grid can be compared across two process
-// runs; BenchmarkVantageGrid is the small-default always-on variant CI's
-// bench smoke compiles and runs.
+// The vantage-grid scale harness (its recorded runs are in EXPERIMENTS.md,
+// "Retired one-off records"). Widening the measurement grid from the single
+// transparent edge to 3 vantages x 3 backends multiplies the number of edge
+// pipelines fed per event by up to nine; the cost the refactor actually
+// adds is one visibility hash plus a per-backend site mask per (event,
+// extra pipeline). The env-gated test below measures events/sec and process
+// peak RSS at a chosen grid so the baseline (1x1) and the full grid can be
+// compared across two process runs; BenchmarkVantageGrid is the small-
+// default always-on variant CI's bench smoke compiles and runs.
 
 // runVantageScale builds and runs one exact-mode study on the given
 // vantage/backend grid and reports event totals, rate, and peak RSS.
@@ -54,7 +54,7 @@ func runVantageScale(tb testing.TB, sites, clients, days, vantages, backends int
 	}
 }
 
-// TestVantageScale is the BENCH_vantage.json producer: set
+// TestVantageScale is the vantage-grid scale measurement: set
 // TOPLISTS_VANTAGE_BENCH=1 and choose the grid with TOPLISTS_VANTAGE_VANTAGES
 // / _BACKENDS (plus the usual _SITES / _CLIENTS / _DAYS). Run it once at
 // 1/1 and once at 3/3 in separate processes — VmHWM is a process-wide

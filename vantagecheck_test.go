@@ -75,7 +75,7 @@ func TestVantageCheckDefaultIdentity(t *testing.T) {
 // TestVantageCheckMultiEdgeDeterminism renders the full 3x3 grid at worker
 // counts 4, 1, and auto, exact and sketch, and requires byte-identical
 // output within each mode — per-(vantage, backend) pipelines ride the same
-// sharded replay as the primary, so the worker count must never show.
+// sharded merge as the primary, so the worker count must never show.
 func TestVantageCheckMultiEdgeDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds six full studies")
