@@ -77,13 +77,15 @@ crashcheck:
 vantagecheck:
 	$(GO) test -run=TestVantageCheck -count=1 .
 
-# Short fuzz smoke of the rank-bucketing, interner, fault-plan, and sketch
-# targets (seeds + 10s each).
+# Short fuzz smoke of the rank-bucketing, interner, fault-plan, probe-key,
+# origin-parser, and sketch targets (seeds + 10s each).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScaledMagnitudes -fuzztime=10s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzBucketer -fuzztime=10s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzInternLookupRoundTrip -fuzztime=10s ./internal/names
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faults
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeKey -fuzztime=10s ./internal/faults
+	$(GO) test -run=^$$ -fuzz=FuzzParseOrigin -fuzztime=10s ./internal/domain
 	$(GO) test -run=^$$ -fuzz=FuzzBucketIndex -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz=FuzzCountMin -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceSaving -fuzztime=10s ./internal/sketch

@@ -200,18 +200,11 @@ func (a *Artifacts) MetricRanking(day int, m cfmetrics.Metric) *rank.Ranking {
 // amalgamation Tranco uses), memoized per metric.
 func (a *Artifacts) MonthlyMetric(m cfmetrics.Metric) *rank.Ranking {
 	return a.memoized(monthlyKey{m.Combo()}, a.cmMonthly, func() *rank.Ranking {
-		tab := a.s.World.Interner()
-		scores := make(map[names.ID]float64)
-		for d := 0; d < a.s.Pipeline.NumDays(); d++ {
-			for i, id := range a.MetricRanking(d, m).IDs() {
-				scores[id] += 1 / float64(i+1)
-			}
+		days := make([]*rank.Ranking, a.s.Pipeline.NumDays())
+		for d := range days {
+			days[d] = a.MetricRanking(d, m)
 		}
-		scored := make([]rank.ScoredID, 0, len(scores))
-		for id, v := range scores {
-			scored = append(scored, rank.ScoredID{ID: id, Score: v})
-		}
-		return rank.FromScoredIDs(tab, scored, rank.TieHashed)
+		return rank.Dowdall(a.s.World.Interner(), days)
 	})
 }
 
@@ -241,18 +234,11 @@ func (a *Artifacts) EdgeMonthlyMetric(vi, bi int, m cfmetrics.Metric) *rank.Rank
 		return a.MonthlyMetric(m)
 	}
 	return a.memoized(edgeMonthlyKey{vi, bi, m.Combo()}, a.cmMonthly, func() *rank.Ranking {
-		tab := a.s.World.Interner()
-		scores := make(map[names.ID]float64)
-		for d := 0; d < a.s.Edges.At(vi, bi).NumDays(); d++ {
-			for i, id := range a.EdgeMetricRanking(vi, bi, d, m).IDs() {
-				scores[id] += 1 / float64(i+1)
-			}
+		days := make([]*rank.Ranking, a.s.Edges.At(vi, bi).NumDays())
+		for d := range days {
+			days[d] = a.EdgeMetricRanking(vi, bi, d, m)
 		}
-		scored := make([]rank.ScoredID, 0, len(scores))
-		for id, v := range scores {
-			scored = append(scored, rank.ScoredID{ID: id, Score: v})
-		}
-		return rank.FromScoredIDs(tab, scored, rank.TieHashed)
+		return rank.Dowdall(a.s.World.Interner(), days)
 	})
 }
 

@@ -42,3 +42,30 @@ func FuzzFaultPlan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeKey feeds arbitrary ProbeHeader values to DecodeKey, which
+// parses a header arriving over the wire: it must never panic, every
+// encoded key must decode back to itself, and an accepted value must
+// re-encode to a value that decodes to the same key.
+func FuzzDecodeKey(f *testing.F) {
+	f.Add("0.0", 0, 0)
+	f.Add("27.3", 27, 3)
+	f.Add("-1.-3", -1, -3)
+	f.Add("1.2.3", 1<<20, 1<<20)
+	f.Add(".", 0, 0)
+	f.Add("+4.007", 0, 0)
+	f.Add("99999999999999999999.0", 0, 0)
+	f.Fuzz(func(t *testing.T, s string, day, attempt int) {
+		k := Key{Day: day, Attempt: attempt}
+		if got, ok := DecodeKey(k.Encode()); !ok || got != k {
+			t.Fatalf("DecodeKey(%q) = %+v, %v; want %+v, true", k.Encode(), got, ok, k)
+		}
+		got, ok := DecodeKey(s)
+		if !ok {
+			return
+		}
+		if again, ok := DecodeKey(got.Encode()); !ok || again != got {
+			t.Fatalf("DecodeKey(%q) = %+v, but its encoding %q decodes to %+v, %v", s, got, got.Encode(), again, ok)
+		}
+	})
+}

@@ -65,8 +65,8 @@ type ProbeResult struct {
 // Prober performs concurrent HEAD probes and classifies hosts by the
 // cf-ray response header, replicating the paper's list-filtering step.
 //
-// The zero knobs give the hardened client: transient failures (dial
-// errors, timeouts, 5xx responses) are retried with deterministic
+// Each probe tries https first with an http fallback. Transient failures
+// (dial errors, timeouts, 5xx responses) are retried with deterministic
 // exponential backoff, only NXDOMAIN is treated as definitive, and an
 // exhausted budget yields OutcomeUnknown rather than a misclassification.
 // SingleShot restores the fragile pre-hardening behavior for baselines.
@@ -76,9 +76,6 @@ type Prober struct {
 	Client *http.Client
 	// Concurrency bounds in-flight probes (default 32).
 	Concurrency int
-	// TryHTTPS controls whether https is attempted first with an http
-	// fallback (default true via NewProber).
-	TryHTTPS bool
 
 	// Retries is how many extra retry rounds (each trying every scheme)
 	// a probe may use after the first before giving up as Unknown.
@@ -113,14 +110,13 @@ type Prober struct {
 	strikes map[string]int
 }
 
-// NewProber returns a Prober with defaults: 32-way concurrency, https
-// first, two retry rounds with 2ms base backoff, a 2s per-attempt bound,
-// and an 8-strike circuit breaker.
+// NewProber returns a Prober with defaults: 32-way concurrency, two retry
+// rounds with 2ms base backoff, a 2s per-attempt bound, and an 8-strike
+// circuit breaker.
 func NewProber(client *http.Client) *Prober {
 	return &Prober{
 		Client:           client,
 		Concurrency:      32,
-		TryHTTPS:         true,
 		Retries:          2,
 		AttemptTimeout:   2 * time.Second,
 		BackoffBase:      2 * time.Millisecond,
@@ -179,9 +175,6 @@ func (p *Prober) probeOne(ctx context.Context, host string) ProbeResult {
 		defer func() { p.Metrics.observeProbe(&res, time.Since(start)) }()
 	}
 	schemes := []string{"https", "http"}
-	if !p.TryHTTPS {
-		schemes = []string{"http"}
-	}
 	if p.breakerOpen(host) {
 		p.Metrics.breakerSkipped()
 		return res

@@ -19,10 +19,6 @@ import (
 type Tranco struct {
 	inputs []List
 	psl    *psl.List
-	// Window is the trailing number of days aggregated (default 30; runs
-	// shorter than the window use every available day, documented in
-	// DESIGN.md).
-	Window int
 
 	lists []*rank.Ranking
 	// memo caches per-(list, day) normalized inputs so consecutive Tranco
@@ -31,6 +27,11 @@ type Tranco struct {
 	// the evaluation.
 	memo *NormMemo
 }
+
+// trancoWindow is the trailing number of days Tranco aggregates; runs
+// shorter than the window use every available day (documented in
+// DESIGN.md).
+const trancoWindow = 30
 
 // NewTranco builds a Tranco provider over its three input lists. memo is
 // the normalization cache to draw input snapshots through; nil builds a
@@ -42,7 +43,6 @@ func NewTranco(alexa, umbrella, majestic List, l *psl.List, memo *NormMemo) *Tra
 	return &Tranco{
 		inputs: []List{alexa, umbrella, majestic},
 		psl:    l,
-		Window: 30,
 		memo:   memo,
 	}
 }
@@ -54,34 +54,23 @@ func (t *Tranco) Name() string { return "Tranco" }
 func (t *Tranco) Bucketed() bool { return false }
 
 // ComputeDay builds and stores the published list for day d; days must be
-// computed in order after the inputs have published day d. The Dowdall
-// accumulation is keyed by interned ID: every input snapshot of a study
-// shares the world's table, so no name strings are revisited.
+// computed in order after the inputs have published day d. Every (list,
+// day) snapshot in the window is Dowdall-combined by interned ID, day by
+// day in input order: every input snapshot of a study shares the world's
+// table, so no name strings are revisited.
 func (t *Tranco) ComputeDay(day int) {
-	var tab *names.Table
-	scores := make(map[names.ID]float64)
-	start := day - t.Window + 1
-	if start < 0 {
-		start = 0
-	}
+	start := max(day-trancoWindow+1, 0)
+	snaps := make([]*rank.Ranking, 0, (day-start+1)*len(t.inputs))
 	for d := start; d <= day; d++ {
 		for _, in := range t.inputs {
 			norm, _ := t.memo.Normalized(in, d)
-			if tab == nil {
-				tab = norm.Table()
-			} else if tab != norm.Table() {
+			if len(snaps) > 0 && snaps[0].Table() != norm.Table() {
 				panic("providers: Tranco inputs ranked over different name tables")
 			}
-			for i, id := range norm.IDs() {
-				scores[id] += 1 / float64(i+1)
-			}
+			snaps = append(snaps, norm)
 		}
 	}
-	scored := make([]rank.ScoredID, 0, len(scores))
-	for id, v := range scores {
-		scored = append(scored, rank.ScoredID{ID: id, Score: v})
-	}
-	t.lists = append(t.lists, rank.FromScoredIDs(tab, scored, rank.TieHashed))
+	t.lists = append(t.lists, rank.Dowdall(snaps[0].Table(), snaps))
 }
 
 // NumDays returns how many days have been computed.
@@ -108,17 +97,18 @@ type Trexa struct {
 	alexa  List
 	tranco *Tranco
 	psl    *psl.List
-	// AlexaWeight is how many Alexa entries are taken per Tranco entry
-	// (default 2, the "additionally weighting towards Alexa" of the paper).
-	AlexaWeight int
 
 	lists []*rank.Ranking
 }
 
+// trexaAlexaWeight is how many Alexa entries Trexa takes per Tranco entry:
+// the "additionally weighting towards Alexa" of the paper.
+const trexaAlexaWeight = 2
+
 // NewTrexa builds a Trexa provider. Normalized Alexa snapshots are drawn
 // through the Tranco amalgam's memo, which already holds them.
 func NewTrexa(alexa List, tranco *Tranco, l *psl.List) *Trexa {
-	return &Trexa{alexa: alexa, tranco: tranco, psl: l, AlexaWeight: 2}
+	return &Trexa{alexa: alexa, tranco: tranco, psl: l}
 }
 
 // Name implements List.
@@ -150,7 +140,7 @@ func (t *Trexa) ComputeDay(day int) {
 		}
 	}
 	for ai <= a.Len() || ti <= tr.Len() {
-		for k := 0; k < t.AlexaWeight; k++ {
+		for k := 0; k < trexaAlexaWeight; k++ {
 			take(a, &ai)
 		}
 		take(tr, &ti)

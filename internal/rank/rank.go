@@ -383,6 +383,25 @@ func FromScoredIDs(tab *names.Table, items []ScoredID, tie Tie) *Ranking {
 	return &Ranking{tab: tab, ids: ids}
 }
 
+// Dowdall combines rankings by the Dowdall rule: each ID scores the sum of
+// its reciprocal ranks 1/r over every ranking in rs, and the sums rank
+// descending with hashed ties. Each ID's reciprocals are added in the order
+// rs gives, so the float sums (and ranks) repeat exactly for a given order.
+// Every ranking must be over tab.
+func Dowdall(tab *names.Table, rs []*Ranking) *Ranking {
+	scores := make(map[names.ID]float64)
+	for _, r := range rs {
+		for i, id := range r.ids {
+			scores[id] += 1 / float64(i+1)
+		}
+	}
+	scored := make([]ScoredID, 0, len(scores))
+	for id, v := range scores {
+		scored = append(scored, ScoredID{ID: id, Score: v})
+	}
+	return FromScoredIDs(tab, scored, TieHashed)
+}
+
 func strHash(s string) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)

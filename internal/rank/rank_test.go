@@ -91,6 +91,20 @@ func TestFromScoresDeterministic(t *testing.T) {
 	}
 }
 
+func TestDowdall(t *testing.T) {
+	a := MustNew([]string{"x.com", "y.com", "z.com"})
+	b := MustNew([]string{"y.com", "z.com", "w.com"})
+	// Scores: y 1/2+1, x 1, z 1/3+1/2, w 1/3.
+	got := Dowdall(a.Table(), []*Ranking{a, b})
+	want := []string{"y.com", "x.com", "z.com", "w.com"}
+	if !reflect.DeepEqual(got.Names(), want) {
+		t.Errorf("Dowdall = %v, want %v", got.Names(), want)
+	}
+	if got := Dowdall(a.Table(), nil); got.Len() != 0 {
+		t.Errorf("Dowdall of no rankings has %d entries, want 0", got.Len())
+	}
+}
+
 func TestBucketOf(t *testing.T) {
 	bk := PaperBucketer
 	cases := []struct {

@@ -22,43 +22,6 @@ type Config struct {
 	NumClients int
 	// Days is the number of simulated days (default 28: February 2022).
 	Days int
-	// StartWeekday is the weekday of day 0, with 0 = Monday. February 1,
-	// 2022 was a Tuesday, so the default is 1.
-	StartWeekday int
-	// MeanDailyPageLoads is the population log-mean of page loads per
-	// client per weekday (default 14).
-	MeanDailyPageLoads float64
-	// PanelShare is the base probability that an eligible (home, desktop)
-	// client runs the Alexa extension (default 0.035, scaled per country).
-	PanelShare float64
-	// PanelExpansionDay is the day index on which a second panel cohort
-	// activates, modeling the unexplained late-February accuracy jump the
-	// paper observed for Alexa (default 20 = February 21). Negative
-	// disables the expansion.
-	PanelExpansionDay int
-	// PanelExpansionFactor is the relative size of the second cohort
-	// (default 1.5: the panel grows 2.5x).
-	PanelExpansionFactor float64
-	// ChromeSyncShare is the fraction of Chrome users with history sync
-	// and usage statistics enabled (default 0.55).
-	ChromeSyncShare float64
-	// InfraQueriesPerDay is the mean number of background DNS queries per
-	// client device per day to infrastructure names (default 30).
-	InfraQueriesPerDay float64
-	// OfficeSize is the number of enterprise clients sharing one corporate
-	// egress IP (default 25). Shared egress saturates Umbrella's
-	// unique-IP counts at the head of its list, one of the mechanisms
-	// behind its weak rank correlations (Section 5.2).
-	OfficeSize int
-	// RevisitProb is the probability that a page load revisits a site the
-	// client already visited today, weighted by site stickiness (default
-	// 0.45). Revisits decouple page-load counts from unique-visitor
-	// counts, the divergence Figure 1 measures between aggregations.
-	RevisitProb float64
-	// HomeOpenDNSShare is the fraction of non-enterprise clients whose
-	// home network resolves through the Umbrella/OpenDNS service (default
-	// 0.025).
-	HomeOpenDNSShare float64
 	// Workers is the number of goroutines simulating clients within a day.
 	// 0 (the default) uses one worker per available CPU. Sharded sinks fold
 	// each logical shard into its own state, merged in shard order at the
@@ -124,41 +87,48 @@ func (c Config) withDefaults() Config {
 	if c.Days <= 0 {
 		c.Days = 28
 	}
-	if c.StartWeekday == 0 {
-		c.StartWeekday = 1 // Tuesday, like February 1, 2022
-	}
-	if c.MeanDailyPageLoads == 0 {
-		c.MeanDailyPageLoads = 14
-	}
-	if c.PanelShare == 0 {
-		c.PanelShare = 0.035
-	}
-	if c.PanelExpansionDay == 0 {
-		c.PanelExpansionDay = 20
-	}
-	if c.PanelExpansionFactor == 0 {
-		c.PanelExpansionFactor = 1.5
-	}
-	if c.ChromeSyncShare == 0 {
-		c.ChromeSyncShare = 0.55
-	}
-	if c.InfraQueriesPerDay == 0 {
-		c.InfraQueriesPerDay = 30
-	}
-	if c.OfficeSize == 0 {
-		c.OfficeSize = 25
-	}
-	if c.RevisitProb == 0 {
-		c.RevisitProb = 0.45
-	}
-	if c.HomeOpenDNSShare == 0 {
-		c.HomeOpenDNSShare = 0.025
-	}
-	if c.Ablate.NoRevisits {
-		c.RevisitProb = -1
-	}
 	return c
 }
+
+// The population model of the simulated month. Each is the one value the
+// study runs with, so none is a Config field.
+const (
+	// startWeekday is the weekday of day 0, with 0 = Monday: February 1,
+	// 2022 was a Tuesday.
+	startWeekday = 1
+	// meanDailyPageLoads is the population log-mean of page loads per
+	// client per weekday.
+	meanDailyPageLoads float64 = 14
+	// panelShare is the base probability that an eligible (home, desktop)
+	// client runs the Alexa extension, scaled per country.
+	panelShare float64 = 0.035
+	// panelExpansionDay is the day index on which a second panel cohort
+	// activates (February 21), modeling the unexplained late-February
+	// accuracy jump the paper observed for Alexa.
+	panelExpansionDay = 20
+	// panelExpansionFactor is the relative size of the second cohort: the
+	// panel grows 2.5x.
+	panelExpansionFactor float64 = 1.5
+	// chromeSyncShare is the fraction of Chrome users with history sync
+	// and usage statistics enabled.
+	chromeSyncShare float64 = 0.55
+	// infraQueriesPerDay is the mean number of background DNS queries per
+	// client device per day to infrastructure names.
+	infraQueriesPerDay float64 = 30
+	// officeSize is the number of enterprise clients sharing one corporate
+	// egress IP. Shared egress saturates Umbrella's unique-IP counts at the
+	// head of its list, one of the mechanisms behind its weak rank
+	// correlations (Section 5.2).
+	officeSize = 25
+	// revisitProb is the probability that a page load revisits a site the
+	// client already visited today, weighted by site stickiness. Revisits
+	// decouple page-load counts from unique-visitor counts, the divergence
+	// Figure 1 measures between aggregations.
+	revisitProb float64 = 0.45
+	// homeOpenDNSShare is the fraction of non-enterprise clients whose home
+	// network resolves through the Umbrella/OpenDNS service.
+	homeOpenDNSShare float64 = 0.025
+)
 
 // panelCountryBoost scales panel membership by country. The Alexa panel
 // skews toward markets where the partnered extensions are distributed —
@@ -195,6 +165,10 @@ type Engine struct {
 	workAliases  [world.NumCountries * world.NumPlatforms]*simrand.Alias
 	infraAlias   *simrand.Alias
 	root         *simrand.Source
+	// revisit is the per-load revisit probability: revisitProb, or -1
+	// under Ablate.NoRevisits. The revisit draw is taken either way, so the
+	// ablation leaves every other draw of the client-day stream in place.
+	revisit float64
 
 	// humanReqs accumulates per-site human request counts for the current
 	// day; bot volume is derived from it at day end. Shards accumulate
@@ -282,6 +256,10 @@ func NewEngine(w *world.World, cfg Config) *Engine {
 		Cfg:       cfg,
 		root:      simrand.New(cfg.Seed).Derive("traffic"),
 		humanReqs: make([]int32, w.NumSites()),
+		revisit:   revisitProb,
+	}
+	if cfg.Ablate.NoRevisits {
+		e.revisit = -1
 	}
 	e.buildClients()
 	panelDistort := w.PanelDistortion()
@@ -348,7 +326,7 @@ func (e *Engine) buildClients() {
 		c.HomeIP = ipFor("home", uint64(i))
 		c.Enterprise = cs.Bernoulli(ci.EnterpriseShare)
 		if !c.Enterprise {
-			c.HomeOpenDNS = cs.Bernoulli(e.Cfg.HomeOpenDNSShare * openDNSCountryBoost[c.Country])
+			c.HomeOpenDNS = cs.Bernoulli(homeOpenDNSShare * openDNSCountryBoost[c.Country])
 			if c.HomeOpenDNS {
 				// Content filtering is the main reason home networks point
 				// at OpenDNS in the first place.
@@ -358,30 +336,29 @@ func (e *Engine) buildClients() {
 		if c.Enterprise {
 			// Group enterprise clients of a country into shared offices.
 			key := int32(c.Country)
-			officeIdx := officeCounters[key] / int32(e.Cfg.OfficeSize)
+			officeIdx := officeCounters[key] / officeSize
 			officeCounters[key]++
 			c.OfficeIP = ipFor("office", uint64(c.Country)<<32|uint64(officeIdx))
 		}
 
 		if c.Browser == Chrome {
-			c.ChromeSync = cs.Bernoulli(e.Cfg.ChromeSyncShare)
+			c.ChromeSync = cs.Bernoulli(chromeSyncShare)
 		}
 
 		// The Alexa extension only exists on desktop, and enterprise
 		// machines don't allow it.
 		c.PanelJoinDay = -1
 		if c.Platform == world.Windows && !c.Enterprise {
-			p := e.Cfg.PanelShare * panelCountryBoost[c.Country]
+			p := panelShare * panelCountryBoost[c.Country]
 			if cs.Bernoulli(p) {
 				c.PanelJoinDay = 0
-			} else if e.Cfg.PanelExpansionDay >= 0 &&
-				cs.Bernoulli(p*e.Cfg.PanelExpansionFactor) {
-				c.PanelJoinDay = int16(e.Cfg.PanelExpansionDay)
+			} else if cs.Bernoulli(p * panelExpansionFactor) {
+				c.PanelJoinDay = panelExpansionDay
 			}
 		}
 
 		c.FixedSite = -1
-		c.DailyRate = float32(clampF(cs.LogNormal(lnF(e.Cfg.MeanDailyPageLoads), 0.8), 1, 250))
+		c.DailyRate = float32(clampF(cs.LogNormal(lnF(meanDailyPageLoads), 0.8), 1, 250))
 		if c.Enterprise {
 			c.WeekendFactor = float32(0.35 + 0.2*cs.Float64())
 		} else {
@@ -466,7 +443,7 @@ func lnF(x float64) float64 {
 
 // IsWeekend reports whether day d is a Saturday or Sunday.
 func (e *Engine) IsWeekend(d int) bool {
-	wd := (e.Cfg.StartWeekday + d) % 7
+	wd := (startWeekday + d) % 7
 	return wd == 5 || wd == 6
 }
 
@@ -676,7 +653,7 @@ func (e *Engine) simulateClientDay(c *Client, d int, weekend bool, src *simrand.
 		switch {
 		case c.FixedSite >= 0:
 			siteID = c.FixedSite
-		case len(sc.visited) > 0 && src.Bernoulli(e.Cfg.RevisitProb):
+		case len(sc.visited) > 0 && src.Bernoulli(e.revisit):
 			siteID = sc.pickVisited(src)
 		default:
 			draw := alias
@@ -743,7 +720,7 @@ func (e *Engine) simulateClientDay(c *Client, d int, weekend bool, src *simrand.
 
 	// Background device queries to infrastructure names (OS telemetry,
 	// updates, push). These happen regardless of browsing volume.
-	nInfra := src.Poisson(e.Cfg.InfraQueriesPerDay)
+	nInfra := src.Poisson(infraQueriesPerDay)
 	for j := 0; j < nInfra; j++ {
 		idx := int32(e.infraAlias.Draw(src))
 		q = DNSQuery{

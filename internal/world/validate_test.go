@@ -27,14 +27,6 @@ func TestConfigValidate(t *testing.T) {
 		{"full default-shaped config", Config{Seed: 7, NumSites: 100, Backends: 1, Vantages: DefaultVantages(1)}, ""},
 		{"multi-edge config", Config{NumSites: 50, Backends: NumBackends, Vantages: DefaultVantages(MaxVantages)}, ""},
 		{"negative sites", Config{NumSites: -1}, "NumSites -1 negative"},
-		{"negative infra names", Config{InfraNames: -3}, "InfraNames -3 negative"},
-		{"negative zipf exponent", Config{ZipfS: -0.5}, "ZipfS -0.5 negative"},
-		{"negative popularity noise", Config{PopNoise: -1}, "PopNoise -1 negative"},
-		{"https share above one", Config{HTTPSShare: 1.5}, "HTTPSShare 1.5 outside [0, 1]"},
-		{"negative non-public share", Config{NonPublicShare: -0.1}, "NonPublicShare -0.1 outside [0, 1]"},
-		{"multi-cdn share above one", Config{MultiCDNShare: 2}, "MultiCDNShare 2 outside [0, 1]"},
-		{"cf base above one", Config{CFBase: 1.01}, "CFBase 1.01 outside [0, 1]"},
-		{"extra cdn base negative", Config{ExtraCDNBase: -0.2}, "ExtraCDNBase -0.2 outside [0, 1]"},
 		{"negative backend count", Config{Backends: -1}, "Backends -1 outside"},
 		{"backend count beyond deployable", Config{Backends: NumBackends + 1}, "Backends 4 outside"},
 		{"vantage reach above one", Config{Vantages: badVantages}, "reach[US] = 1.5 outside [0, 1]"},
@@ -71,9 +63,9 @@ func TestGenerateRejectsInvalidConfig(t *testing.T) {
 			t.Fatal("Generate accepted an invalid config")
 		}
 		err, ok := v.(error)
-		if !ok || !strings.Contains(err.Error(), "CFBase") {
-			t.Fatalf("panic value = %v, want the CFBase validation error", v)
+		if !ok || !strings.Contains(err.Error(), "Backends") {
+			t.Fatalf("panic value = %v, want the Backends validation error", v)
 		}
 	}()
-	Generate(Config{NumSites: 10, CFBase: 7})
+	Generate(Config{NumSites: 10, Backends: NumBackends + 1})
 }

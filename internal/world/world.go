@@ -23,42 +23,43 @@ type Config struct {
 	Seed uint64
 	// NumSites is the number of websites in the universe.
 	NumSites int
-	// ZipfS is the popularity Zipf exponent (default 1.05).
-	ZipfS float64
-	// PopNoise is the log-sigma of multiplicative popularity noise
-	// (default 0.4), which makes true rank differ from generation order.
-	PopNoise float64
-	// HTTPSShare is the fraction of sites served over HTTPS (default 0.93).
-	HTTPSShare float64
-	// NonPublicShare is the fraction of sites not linked from the public
-	// web (robots-excluded); Chrome telemetry omits them (default 0.03).
-	NonPublicShare float64
-	// MultiCDNShare is the fraction of Cloudflare sites also using another
-	// CDN (default 0.01, "rare" per Section 4.5).
-	MultiCDNShare float64
-	// CFBase is the base Cloudflare adoption probability before category,
-	// country, and tier multipliers (default 0.30).
-	CFBase float64
 	// Backends is how many CDN edge backends are deployed (1..NumBackends,
 	// default 1). The first backend is always cdnflare; a world with one
 	// backend is the original single-edge model, byte-identical to worlds
 	// generated before competitor backends existed.
 	Backends int
-	// ExtraCDNBase is the base adoption probability of each competitor
-	// backend (default 0.12), skewed per backend by category, country, and
-	// tier. Only consulted when Backends > 1.
-	ExtraCDNBase float64
 	// Vantages is the set of measurement vantage points (default: the
 	// single transparent global vantage). Vantage 0 must be the primary
 	// (transparent) vantage for the default pipeline to stay byte-identical.
 	Vantages []Vantage
-	// InfraNames is the number of non-website infrastructure FQDNs (OS
-	// telemetry, NTP, update servers) that dominate DNS vantage points.
-	// Default max(20, NumSites/50).
-	InfraNames int
 	// Ablate disables selected mechanisms for ablation studies.
 	Ablate Ablations
 }
+
+// The generative model of the universe. Each is the one value the study
+// runs with, so none is a Config field.
+const (
+	// zipfS is the popularity Zipf exponent.
+	zipfS float64 = 1.05
+	// popNoise is the log-sigma of multiplicative popularity noise, which
+	// makes true rank differ from generation order.
+	popNoise float64 = 0.4
+	// httpsShare is the fraction of sites served over HTTPS.
+	httpsShare float64 = 0.93
+	// nonPublicShare is the fraction of sites not linked from the public
+	// web (robots-excluded); Chrome telemetry omits them.
+	nonPublicShare float64 = 0.03
+	// multiCDNShare is the fraction of Cloudflare sites also using another
+	// CDN ("rare" per Section 4.5).
+	multiCDNShare float64 = 0.01
+	// cfBase is the base Cloudflare adoption probability before category,
+	// country, and tier multipliers.
+	cfBase float64 = 0.30
+	// extraCDNBase is the base adoption probability of each competitor
+	// backend, skewed per backend by category, country, and tier. Only
+	// consulted when Backends > 1.
+	extraCDNBase float64 = 0.12
+)
 
 // Validate reports the first invalid configuration field as an explicit
 // error. Zero values are valid (they take defaults); out-of-range values
@@ -66,29 +67,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.NumSites < 0 {
 		return fmt.Errorf("world: NumSites %d negative", c.NumSites)
-	}
-	if c.InfraNames < 0 {
-		return fmt.Errorf("world: InfraNames %d negative", c.InfraNames)
-	}
-	if c.ZipfS < 0 {
-		return fmt.Errorf("world: ZipfS %v negative", c.ZipfS)
-	}
-	if c.PopNoise < 0 {
-		return fmt.Errorf("world: PopNoise %v negative", c.PopNoise)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"HTTPSShare", c.HTTPSShare},
-		{"NonPublicShare", c.NonPublicShare},
-		{"MultiCDNShare", c.MultiCDNShare},
-		{"CFBase", c.CFBase},
-		{"ExtraCDNBase", c.ExtraCDNBase},
-	} {
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("world: %s %v outside [0, 1]", f.name, f.v)
-		}
 	}
 	if c.Backends < 0 || c.Backends > NumBackends {
 		return fmt.Errorf("world: Backends %d outside [0, %d]", c.Backends, NumBackends)
@@ -130,38 +108,11 @@ func (c Config) withDefaults() Config {
 	if c.NumSites <= 0 {
 		c.NumSites = 10_000
 	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.05
-	}
-	if c.PopNoise == 0 {
-		c.PopNoise = 0.4
-	}
-	if c.HTTPSShare == 0 {
-		c.HTTPSShare = 0.93
-	}
-	if c.NonPublicShare == 0 {
-		c.NonPublicShare = 0.03
-	}
-	if c.MultiCDNShare == 0 {
-		c.MultiCDNShare = 0.01
-	}
-	if c.CFBase == 0 {
-		c.CFBase = 0.30
-	}
 	if c.Backends <= 0 {
 		c.Backends = 1
 	}
-	if c.ExtraCDNBase == 0 {
-		c.ExtraCDNBase = 0.12
-	}
 	if len(c.Vantages) == 0 {
 		c.Vantages = DefaultVantages(1)
-	}
-	if c.InfraNames == 0 {
-		c.InfraNames = c.NumSites / 50
-		if c.InfraNames < 20 {
-			c.InfraNames = 20
-		}
 	}
 	return c
 }
@@ -310,12 +261,12 @@ func Generate(cfg Config) *World {
 		cat := s.Category.Info()
 
 		s.Domain = nameGen.generate(src, s.Category, s.Home)
-		s.HTTPS = src.Bernoulli(cfg.HTTPSShare)
+		s.HTTPS = src.Bernoulli(httpsShare)
 		boost := cat.WeightBoost
 		if cfg.Ablate.NoWeightBoost {
 			boost = 1
 		}
-		s.Weight = math.Pow(float64(i+1), -cfg.ZipfS) * src.LogNormal(0, cfg.PopNoise) * boost
+		s.Weight = math.Pow(float64(i+1), -zipfS) * src.LogNormal(0, popNoise) * boost
 
 		headness := 1 / (1 + float64(i)/(0.01*float64(n)+1))
 		g := (1 - ci.Localness) * (0.45 + 0.55*headness) * src.LogNormal(0, 0.25)
@@ -339,14 +290,14 @@ func Generate(cfg Config) *World {
 		// removing, or reordering draws here would shift the whole universe.
 		// Competitor-backend assignment draws from a separate derived stream
 		// after sorting (below) for the same reason.
-		pCF := cfg.CFBase * cat.CFBoost * ci.CFAdoption * tierCFFactor(tier)
+		pCF := cfBase * cat.CFBoost * ci.CFAdoption * tierCFFactor(tier)
 		if src.Bernoulli(clamp(pCF, 0, 0.95)) {
 			s.CDN = BackendCdnflare
-			if src.Bernoulli(cfg.MultiCDNShare) {
+			if src.Bernoulli(multiCDNShare) {
 				s.AltCDN = BackendEdgecast
 			}
 		}
-		pNonPub := cfg.NonPublicShare
+		pNonPub := nonPublicShare
 		if tier == tierHead {
 			pNonPub *= 0.15
 		}
@@ -410,7 +361,7 @@ func Generate(cfg Config) *World {
 			ci := s.Home.Info()
 			tf := tierCFFactor(tierOf(i, n))
 			for _, b := range deployed[1:] {
-				p := cfg.ExtraCDNBase * b.categoryBoost(cat) * b.countryBoost(ci) * tf
+				p := extraCDNBase * b.categoryBoost(cat) * b.countryBoost(ci) * tf
 				if src.Bernoulli(clamp(p, 0, 0.95)) {
 					s.CDN = b
 					break
@@ -419,7 +370,9 @@ func Generate(cfg Config) *World {
 		}
 	}
 
-	w.Infra = generateInfra(root.Derive("infra"), cfg.InfraNames)
+	// Infrastructure names (OS telemetry, NTP, update servers) dominate DNS
+	// vantage points; their count scales with the universe.
+	w.Infra = generateInfra(root.Derive("infra"), max(20, n/50))
 	return w
 }
 
