@@ -23,10 +23,13 @@ benchvet:
 # probe network injects faults under load; the race pass covers every
 # package that touches a parallel path, with -shuffle=on so test-order
 # coupling can't hide behind a fixed schedule.
-# The tracer ring and the study's probe table are hammered ten times over
-# first, since one pass rarely lands two writers on the same slot or sweep.
+# The tracer ring, the study's probe table and the lock-free ranking reads
+# (checked against a serial study while days advance, and shown not to
+# wait behind an advance holding the lifecycle lock) are hammered ten
+# times over first, since one pass rarely lands two goroutines on the same
+# slot, sweep or day.
 race:
-	$(GO) test -race -count=10 -run 'TestTraceConcurrentSpans|TestProbeTableConcurrent' ./internal/obs ./internal/core
+	$(GO) test -race -count=10 -run 'TestTraceConcurrentSpans|TestProbeTableConcurrent|TestReadsDuringAdvance|TestReadsDoNotWaitForAdvance' ./internal/obs ./internal/core
 	$(GO) test -race -shuffle=on ./internal/names ./internal/rank ./internal/sketch ./internal/cfmetrics ./internal/chrome ./internal/providers ./internal/traffic ./internal/core ./internal/experiments ./internal/httpsim ./internal/obs ./internal/snapshot ./internal/world ./internal/dnssim ./internal/sweep ./internal/perfgate ./cmd/toplistsd
 
 # faultcheck is the fault-injection determinism oracle: a fixed seed at a
@@ -78,7 +81,8 @@ vantagecheck:
 	$(GO) test -run=TestVantageCheck -count=1 .
 
 # Short fuzz smoke of the rank-bucketing, interner, fault-plan, probe-key,
-# origin-parser, and sketch targets (seeds + 10s each).
+# origin-parser, toplistsd query-parameter, and sketch targets (seeds +
+# 10s each).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScaledMagnitudes -fuzztime=10s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzBucketer -fuzztime=10s ./internal/rank
@@ -86,6 +90,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeKey -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzParseOrigin -fuzztime=10s ./internal/domain
+	$(GO) test -run=^$$ -fuzz=FuzzServerQuery -fuzztime=10s ./cmd/toplistsd
 	$(GO) test -run=^$$ -fuzz=FuzzBucketIndex -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz=FuzzCountMin -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceSaving -fuzztime=10s ./internal/sketch

@@ -68,8 +68,12 @@
 // newest-first, verifies each frame-by-frame, and resumes the newest
 // intact one; corrupt candidates are logged and skipped, never fatal.
 //
-// Readers never see a torn day: advancement write-holds the study's
-// lifecycle lock, so every request observes a complete day boundary.
+// Readers never see a torn day and never wait for one: each advanced day
+// is published whole, as an immutable view, and /v1/rankings, /v1/diff,
+// /readyz and /v1/status read the latest view without taking the study's
+// lifecycle lock. Only checkpoints and CrUX reads read-hold that lock,
+// which a day advance write-holds. CrUX publishes one month-to-date list,
+// so a read of any past day returns the list as of the latest day.
 package main
 
 import (

@@ -8,6 +8,7 @@ package cfmetrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"toplists/internal/names"
@@ -412,15 +413,34 @@ func (p *Pipeline) DayList(day int, c Combo) []int32 {
 }
 
 // DayRanking returns the day's ranked list for a combo as a domain Ranking.
+func (p *Pipeline) DayRanking(day int, c Combo) *rank.Ranking {
+	return p.Archive().Ranking(day, c)
+}
+
+// Archive is a pipeline's frozen days as of one moment. EndDay only
+// appends to the pipeline's day list and never rewrites a frozen day, so
+// an Archive stays valid, unchanged and lock-free while later days freeze.
+type Archive struct {
+	p    *Pipeline
+	days [][][]int32
+}
+
+// Archive returns the days frozen so far, clipped to their count. Call it
+// where EndDay cannot run concurrently; the result may then be read from
+// any goroutine.
+func (p *Pipeline) Archive() Archive { return Archive{p, slices.Clip(p.days)} }
+
+// Ranking returns the day's ranked list for a combo as a domain Ranking.
 // The pipeline already ranks dense site IDs, which are interner IDs for the
 // sites' domains by the world's construction, so no strings are touched.
-func (p *Pipeline) DayRanking(day int, c Combo) *rank.Ranking {
-	sites := p.DayList(day, c)
+func (a Archive) Ranking(day int, c Combo) *rank.Ranking {
+	w := a.p.w
+	sites := a.days[day][a.p.comboIndex(c)]
 	ids := make([]names.ID, len(sites))
 	for i, s := range sites {
-		ids[i] = p.w.DomainID(s)
+		ids[i] = w.DomainID(s)
 	}
-	return rank.MustFromIDs(p.w.Interner(), ids)
+	return rank.MustFromIDs(w.Interner(), ids)
 }
 
 // MetricRanking returns the day's ranking for a canonical metric.

@@ -60,6 +60,18 @@ func (ps *PipelineSet) Backends() []world.Backend { return ps.backends }
 // At returns the pipeline at a grid position.
 func (ps *PipelineSet) At(vi, bi int) *Pipeline { return ps.pipes[vi][bi] }
 
+// Archives returns every pipeline's Archive, indexed like At.
+func (ps *PipelineSet) Archives() [][]Archive {
+	out := make([][]Archive, len(ps.pipes))
+	for vi, row := range ps.pipes {
+		out[vi] = make([]Archive, len(row))
+		for bi, p := range row {
+			out[vi][bi] = p.Archive()
+		}
+	}
+	return out
+}
+
 // Index resolves a vantage name and backend slug to grid coordinates.
 func (ps *PipelineSet) Index(vantage, backend string) (vi, bi int, ok bool) {
 	vi, bi = -1, -1

@@ -154,9 +154,10 @@ func (a *Artifacts) memoized(key any, cm *obs.CacheMetrics, build func() *rank.R
 // Dowdall metric rankings and telemetry cell rankings — whose inputs grew
 // when a day advanced. Day-scoped artifacts (per-day combo rankings,
 // normalized day snapshots) are immutable once their day is published and
-// survive. Called with the study lifecycle write-locked, so no reader is
-// mid-flight; in batch runs the map is empty until evaluation begins and
-// the sweep is a no-op.
+// survive; lock-free readers may be building them meanwhile, which a.mu
+// makes safe. Called on the advance path after the new day is published;
+// in batch runs the map is empty until evaluation begins and the sweep is
+// a no-op.
 func (a *Artifacts) invalidateMonthly() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -182,10 +183,12 @@ func (a *Artifacts) NormalizedStats(l providers.List, day int) (*rank.Ranking, r
 }
 
 // ComboRanking returns the day's ranked domain list for one Cloudflare
-// filter-aggregation combo, memoized per (day, combo).
+// filter-aggregation combo, memoized per (day, combo). Like every per-day
+// edge ranking it is built from the published view's archive, so it needs
+// no lifecycle lock; the day must be published.
 func (a *Artifacts) ComboRanking(day int, c cfmetrics.Combo) *rank.Ranking {
 	return a.memoized(comboDayKey{day, c}, a.cmCombo, func() *rank.Ranking {
-		return a.s.Pipeline.DayRanking(day, c)
+		return a.s.view.Load().edges[0][0].Ranking(day, c)
 	})
 }
 
@@ -200,7 +203,7 @@ func (a *Artifacts) MetricRanking(day int, m cfmetrics.Metric) *rank.Ranking {
 // amalgamation Tranco uses), memoized per metric.
 func (a *Artifacts) MonthlyMetric(m cfmetrics.Metric) *rank.Ranking {
 	return a.memoized(monthlyKey{m.Combo()}, a.cmMonthly, func() *rank.Ranking {
-		days := make([]*rank.Ranking, a.s.Pipeline.NumDays())
+		days := make([]*rank.Ranking, a.s.Day())
 		for d := range days {
 			days[d] = a.MetricRanking(d, m)
 		}
@@ -216,7 +219,7 @@ func (a *Artifacts) EdgeComboRanking(vi, bi, day int, c cfmetrics.Combo) *rank.R
 		return a.ComboRanking(day, c)
 	}
 	return a.memoized(edgeComboDayKey{vi, bi, day, c}, a.cmCombo, func() *rank.Ranking {
-		return a.s.Edges.At(vi, bi).DayRanking(day, c)
+		return a.s.view.Load().edges[vi][bi].Ranking(day, c)
 	})
 }
 
@@ -234,7 +237,7 @@ func (a *Artifacts) EdgeMonthlyMetric(vi, bi int, m cfmetrics.Metric) *rank.Rank
 		return a.MonthlyMetric(m)
 	}
 	return a.memoized(edgeMonthlyKey{vi, bi, m.Combo()}, a.cmMonthly, func() *rank.Ranking {
-		days := make([]*rank.Ranking, a.s.Edges.At(vi, bi).NumDays())
+		days := make([]*rank.Ranking, a.s.Day())
 		for d := range days {
 			days[d] = a.EdgeMetricRanking(vi, bi, d, m)
 		}

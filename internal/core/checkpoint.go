@@ -64,8 +64,8 @@ func (s *Study) Snapshot(w io.Writer) error {
 // from the advance path with the write lock already held — that is what
 // guarantees an auto-checkpoint always lands on a clean day boundary.
 func (s *Study) snapshotLocked(w io.Writer) error {
-	if s.aborted != nil {
-		return fmt.Errorf("core: cannot snapshot: %w", s.aborted)
+	if err := s.Aborted(); err != nil {
+		return fmt.Errorf("core: cannot snapshot: %w", err)
 	}
 	defer s.obs.Span("phase.snapshot").End()
 	sw, err := snapshot.NewWriter(w)
@@ -369,6 +369,7 @@ func restoreInto(s *Study, sr *snapshot.Reader) error {
 	if err := s.Engine.RestoreDay(day); err != nil {
 		return err
 	}
+	s.publishLocked()
 	if day == s.Cfg.Days {
 		s.lifeMu.Lock()
 		s.finalizeLocked()

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"toplists/internal/cfmetrics"
@@ -78,7 +80,10 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 // study checkpointed at day k, resumed (with a different worker count),
 // and advanced to the end publishes byte-identical lists, Cloudflare
 // combo lists, and CrUX output to a straight run — and its resume-stable
-// report subset matches too. The full-size oracle is `make snapcheck`.
+// report subset matches too. Before any advance the resumed study already
+// publishes day k: Day is k and every list and edge read below k equals
+// the checkpointed study's, and one resumed at its final day serves CrUX.
+// The full-size oracle is `make snapcheck`.
 func TestResumeOracle(t *testing.T) {
 	const days = 6
 	for _, mode := range []bool{false, true} {
@@ -100,12 +105,32 @@ func TestResumeOracle(t *testing.T) {
 					}
 				}
 				b := snap(t, src)
-				src.Close()
+				want := publishedReads(t, src, k)
 
 				r, err := Resume(bytes.NewReader(b), ResumeOptions{Workers: 3})
 				if err != nil {
 					t.Fatalf("k=%d: Resume: %v", k, err)
 				}
+				if got := r.Day(); got != k {
+					t.Fatalf("k=%d: resumed study publishes day %d", k, got)
+				}
+				if got := publishedReads(t, r, k); !maps.EqualFunc(got, want, slices.Equal) {
+					t.Errorf("k=%d: resumed study's published reads differ from the checkpointed study's", k)
+				}
+				if k == days {
+					got, err := r.RankingFor("CrUX", k-1)
+					if err != nil {
+						t.Fatalf("k=%d: CrUX after a final-day resume: %v", k, err)
+					}
+					want, err := src.RankingFor("CrUX", k-1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Names(), want.Names()) {
+						t.Errorf("k=%d: resumed CrUX differs from the checkpointed study's", k)
+					}
+				}
+				src.Close()
 				r.Run()
 				if got := studyFingerprint(r); got != wantFP {
 					t.Errorf("k=%d: fingerprint %x after resume, straight run %x", k, got, wantFP)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"toplists/internal/cfmetrics"
 	"toplists/internal/chrome"
@@ -209,13 +210,14 @@ type Study struct {
 
 	// lifeMu is the lifecycle lock: AdvanceDay (and batch RunContext)
 	// write-hold it across a whole day — simulation, amalgam updates,
-	// artifact invalidation — while concurrent readers (the resident
-	// server's ranking/report/snapshot handlers) read-hold it. Readers
-	// therefore always observe a complete day boundary, never a torn day.
+	// artifact invalidation, auto-checkpoint. Ranking reads do not take
+	// it: they load the published view. Only Snapshot and CrUX reads
+	// read-hold it, since both read live sink state rather than an archive.
 	lifeMu sync.RWMutex
 
-	// aborted latches the first failed advancement (see ErrStudyAborted).
-	aborted error
+	// view is the last published day boundary (see dayView): stored under
+	// lifeMu's write side, loaded by readers without any lock.
+	view atomic.Pointer[dayView]
 
 	// ckptEvery/ckptFn implement auto-checkpointing from the advance path
 	// (SetAutoCheckpoint): every ckptEvery advanced days, ckptFn runs with
@@ -230,6 +232,44 @@ type Study struct {
 	cruxDay int
 
 	ran bool
+}
+
+// dayView is one published day boundary: the advanced day count, the
+// sticky abort error, and the archive of every day-indexed ranking a
+// reader may ask for. It is built under the lifecycle write lock and never
+// changes once stored, so readers load it and take no lock. Each archive
+// is a slice clipped to its length over an append-only store whose
+// elements below that length are never rewritten: later days land past
+// the cut, or in a new backing array, and touch nothing the view holds.
+type dayView struct {
+	day int
+	// aborted latches the first failed advancement (see ErrStudyAborted).
+	aborted error
+	// lists holds the per-day archives of the lists that publish one
+	// ranking a day, by name. Majestic publishes one ranking fixed at
+	// construction and CrUX is re-derived from live telemetry, so neither
+	// needs one.
+	lists map[string][]*rank.Ranking
+	// edges[vi][bi] is the (vantage, backend) pipeline's day archive.
+	edges [][]cfmetrics.Archive
+}
+
+// publishLocked captures the study's current day boundary as a new view.
+// Callers hold lifeMu for writing, or own the study outright (NewStudy,
+// Resume). It never publishes a failed day: on a failure advanceDayLocked
+// republishes the last good boundary with the abort error attached.
+func (s *Study) publishLocked() {
+	s.view.Store(&dayView{
+		day: s.Engine.Day(),
+		lists: map[string][]*rank.Ranking{
+			"Alexa":    s.Alexa.Archive(),
+			"Secrank":  s.Secrank.Archive(),
+			"Tranco":   s.Tranco.Archive(),
+			"Trexa":    s.Trexa.Archive(),
+			"Umbrella": s.Umbrella.Archive(),
+		},
+		edges: s.Edges.Archives(),
+	})
 }
 
 // ErrStudyAborted is the sticky error of a study whose advancement failed
@@ -349,6 +389,7 @@ func NewStudy(cfg Config) *Study {
 	s.Tranco = providers.NewTranco(s.Alexa, s.Umbrella, s.Majestic, s.PSL, s.artifacts.norms)
 	s.Trexa = providers.NewTrexa(s.Alexa, s.Tranco, s.PSL)
 	s.cruxDay = -1
+	s.publishLocked()
 	buildSpan.End()
 	return s
 }
@@ -375,8 +416,8 @@ func (s *Study) RunContext(ctx context.Context) error {
 	if s.ran {
 		return nil
 	}
-	if s.aborted != nil {
-		return s.aborted
+	if err := s.Aborted(); err != nil {
+		return err
 	}
 	for s.Engine.Day() < s.Cfg.Days {
 		if err := s.advanceDayLocked(ctx); err != nil {
@@ -392,14 +433,14 @@ func (s *Study) RunContext(ctx context.Context) error {
 // incremental amalgams (Tranco/Trexa ComputeDay), invalidating the
 // month-scoped derived artifacts it staled. Days advance strictly in
 // order, exactly once (the engine's Day cursor is the guard); once every
-// configured day has run it returns traffic.ErrRunComplete. The lifecycle
-// lock is write-held for the whole advancement, so concurrent readers
-// always see the previous complete day.
+// configured day has run it returns traffic.ErrRunComplete. Readers never
+// wait for it: they keep reading the previous day's view until the new
+// day is published whole.
 func (s *Study) AdvanceDay(ctx context.Context) error {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
-	if s.aborted != nil {
-		return s.aborted
+	if err := s.Aborted(); err != nil {
+		return err
 	}
 	if err := s.advanceDayLocked(ctx); err != nil {
 		return err
@@ -455,15 +496,19 @@ func (s *Study) autoCheckpointLocked() {
 	}
 }
 
-// advanceDayLocked runs one engine day plus the per-day amalgam updates.
-// Callers hold lifeMu. A day-level failure latches s.aborted; the first
-// caller still receives the original error (tests match on
-// context.Canceled and *traffic.ShardPanicError), later callers get the
-// sticky wrapper.
+// advanceDayLocked runs one engine day plus the per-day amalgam updates,
+// then publishes the new day. Callers hold lifeMu. A day-level failure
+// latches the sticky abort error; the first caller still receives the
+// original error (tests match on context.Canceled and
+// *traffic.ShardPanicError), later callers get the sticky wrapper.
 func (s *Study) advanceDayLocked(ctx context.Context) error {
 	if err := s.Engine.AdvanceDay(ctx); err != nil {
-		if s.Engine.Failed() != nil && s.aborted == nil {
-			s.aborted = fmt.Errorf("%w: %v", ErrStudyAborted, err)
+		if s.Engine.Failed() != nil && s.Aborted() == nil {
+			// The sinks hold a partial day: keep the last good boundary
+			// published and attach the error to it.
+			v := *s.view.Load()
+			v.aborted = fmt.Errorf("%w: %v", ErrStudyAborted, err)
+			s.view.Store(&v)
 		}
 		return err
 	}
@@ -472,6 +517,9 @@ func (s *Study) advanceDayLocked(ctx context.Context) error {
 	s.Tranco.ComputeDay(day)
 	s.Trexa.ComputeDay(day)
 	amalgamSpan.End()
+	// Publish before invalidating, so a month-scoped artifact rebuilt after
+	// the invalidation reads the new day.
+	s.publishLocked()
 	// Month-scoped artifacts (monthly Dowdall rankings, telemetry cell
 	// rankings) now cover one more day; drop the stale entries. Per-day
 	// artifacts are immutable once their day is published and stay cached.
@@ -479,13 +527,16 @@ func (s *Study) advanceDayLocked(ctx context.Context) error {
 	return nil
 }
 
-// finalizeLocked marks the study fully run and derives the published
-// CrUX list. Idempotent; callers hold lifeMu with the engine at Days.
+// finalizeLocked marks the study fully run, derives the published CrUX
+// list and publishes the final day, which also covers days a caller ran
+// on the Engine directly rather than through AdvanceDay. Idempotent;
+// callers hold lifeMu with the engine at Days.
 func (s *Study) finalizeLocked() {
 	if s.ran {
 		return
 	}
 	s.cruxLocked()
+	s.publishLocked()
 	s.ran = true
 }
 
@@ -507,20 +558,13 @@ func (s *Study) cruxLocked() *providers.Crux {
 	return s.Crux
 }
 
-// Day returns the number of fully advanced (simulated, amalgamated) days.
-func (s *Study) Day() int {
-	s.lifeMu.RLock()
-	defer s.lifeMu.RUnlock()
-	return s.Engine.Day()
-}
+// Day returns the number of fully advanced (simulated, amalgamated) days
+// in the published view. It never waits for an advance in progress.
+func (s *Study) Day() int { return s.view.Load().day }
 
 // Aborted returns the sticky abort error of a study whose advancement
-// failed mid-day, or nil.
-func (s *Study) Aborted() error {
-	s.lifeMu.RLock()
-	defer s.lifeMu.RUnlock()
-	return s.aborted
-}
+// failed mid-day, or nil. It never waits for an advance in progress.
+func (s *Study) Aborted() error { return s.view.Load().aborted }
 
 // Lists returns the seven providers in canonical table order.
 func (s *Study) Lists() []providers.List {
@@ -631,36 +675,30 @@ func (s *Study) Close() {
 func (s *Study) ListNames() []string { return providers.CanonicalOrder() }
 
 // RankingFor returns the published ranking of the named list for a
-// 0-based day that has already been advanced. Day-indexed providers serve
-// their archived snapshot; CrUX (which publishes one month-to-date list)
-// serves the list derived from telemetry as of the current day. Safe for
-// concurrent use with AdvanceDay: readers hold the lifecycle read lock,
-// so they always see a complete day.
+// 0-based day that has already been advanced. It reads the published view
+// and takes no lock, so it never waits for an advance in progress: the
+// day-indexed lists serve their archived ranking of that day, and Majestic
+// its one month-stable ranking. CrUX publishes one month-to-date list, so
+// a read of any past day returns the list derived from telemetry as of the
+// current day; that read takes the lifecycle read lock, because it derives
+// the list lazily from live telemetry on the first read after an advance.
 func (s *Study) RankingFor(list string, day int) (*rank.Ranking, error) {
-	s.lifeMu.RLock()
-	defer s.lifeMu.RUnlock()
-	cur := s.Engine.Day()
-	if day < 0 || day >= cur {
-		return nil, fmt.Errorf("core: day %d not available (advanced through day %d)", day, cur-1)
+	v := s.view.Load()
+	if day < 0 || day >= v.day {
+		return nil, fmt.Errorf("core: day %d not available (advanced through day %d)", day, v.day-1)
 	}
 	switch list {
-	case "Alexa":
-		return s.Alexa.Raw(day), nil
 	case "Majestic":
 		return s.Majestic.Raw(day), nil
-	case "Secrank":
-		return s.Secrank.Raw(day), nil
-	case "Tranco":
-		return s.Tranco.Raw(day), nil
-	case "Trexa":
-		return s.Trexa.Raw(day), nil
-	case "Umbrella":
-		return s.Umbrella.Raw(day), nil
 	case "CrUX":
+		s.lifeMu.RLock()
+		defer s.lifeMu.RUnlock()
 		return s.cruxLocked().Raw(day), nil
-	default:
-		return nil, fmt.Errorf("core: unknown list %q", list)
 	}
+	if days, ok := v.lists[list]; ok {
+		return days[day], nil
+	}
+	return nil, fmt.Errorf("core: unknown list %q", list)
 }
 
 // Vantages returns the study's measurement vantage points in grid order.
@@ -673,7 +711,8 @@ func (s *Study) Backends() []world.Backend { return s.World.Backends() }
 // observed by one (vantage, backend) edge pipeline, for a 0-based day that
 // has already been advanced. metric is a cfmetrics.Metric key slug,
 // vantage a vantage name, backend a backend slug; unknown keys error.
-// Safe for concurrent use with AdvanceDay, like RankingFor.
+// Like RankingFor it takes no lock: the ranking is built once per (edge,
+// day, metric) in the artifact memo, from the published view's archive.
 func (s *Study) EdgeRankingFor(metric, vantage, backend string, day int) (*rank.Ranking, error) {
 	m, ok := cfmetrics.MetricByKey(metric)
 	if !ok {
@@ -683,10 +722,7 @@ func (s *Study) EdgeRankingFor(metric, vantage, backend string, day int) (*rank.
 	if !ok {
 		return nil, fmt.Errorf("core: unknown edge (%q, %q)", vantage, backend)
 	}
-	s.lifeMu.RLock()
-	defer s.lifeMu.RUnlock()
-	cur := s.Engine.Day()
-	if day < 0 || day >= cur {
+	if cur := s.Day(); day < 0 || day >= cur {
 		return nil, fmt.Errorf("core: day %d not available (advanced through day %d)", day, cur-1)
 	}
 	return s.artifacts.EdgeMetricRanking(vi, bi, day, m), nil

@@ -123,16 +123,16 @@ func ParseOrigin(s string) (Origin, error) {
 	var o Origin
 	scheme, rest, ok := strings.Cut(s, "://")
 	if !ok {
-		return o, ErrBadOrigin
+		return Origin{}, ErrBadOrigin
 	}
 	switch scheme {
 	case "http", "https":
 		o.Scheme = scheme
 	default:
-		return o, ErrBadScheme
+		return Origin{}, ErrBadScheme
 	}
 	if rest == "" || strings.ContainsAny(rest, "/?#@\\ ") {
-		return o, ErrBadOrigin
+		return Origin{}, ErrBadOrigin
 	}
 	host, portStr, hasPort := strings.Cut(rest, ":")
 	o.Host = Normalize(host)

@@ -4,8 +4,8 @@ import "testing"
 
 // FuzzParseOrigin feeds arbitrary strings to ParseOrigin, which reads
 // origins from outside the process (CrUX entries): it must never panic,
-// and an accepted origin must re-parse from its canonical String form to
-// the same Origin.
+// an error must come with the zero Origin, and an accepted origin must
+// re-parse from its canonical String form to the same Origin.
 func FuzzParseOrigin(f *testing.F) {
 	for _, s := range []string{
 		"https://google.com",
@@ -29,6 +29,9 @@ func FuzzParseOrigin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		o, err := ParseOrigin(s)
 		if err != nil {
+			if o != (Origin{}) {
+				t.Fatalf("ParseOrigin(%q) = %+v with error %v, want the zero Origin", s, o, err)
+			}
 			return
 		}
 		again, err := ParseOrigin(o.String())

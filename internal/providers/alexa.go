@@ -2,6 +2,7 @@ package providers
 
 import (
 	"math"
+	"slices"
 
 	"toplists/internal/psl"
 	"toplists/internal/rank"
@@ -200,6 +201,10 @@ func (a *Alexa) computeList() *rank.Ranking {
 
 // NumDays returns how many days have been published.
 func (a *Alexa) NumDays() int { return len(a.lists) }
+
+// Archive returns the published days' rankings, clipped to their count.
+// EndDay only appends, so the slice stays valid with no lock.
+func (a *Alexa) Archive() []*rank.Ranking { return slices.Clip(a.lists) }
 
 // Raw implements List.
 func (a *Alexa) Raw(day int) *rank.Ranking { return a.lists[day] }

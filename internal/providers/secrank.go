@@ -272,6 +272,10 @@ func (s *Secrank) publishDay(votes map[names.ID]float64) {
 // NumDays returns how many days have been published.
 func (s *Secrank) NumDays() int { return len(s.lists) }
 
+// Archive returns the published days' rankings, clipped to their count.
+// EndDay only appends, so the slice stays valid with no lock.
+func (s *Secrank) Archive() []*rank.Ranking { return slices.Clip(s.lists) }
+
 // Raw implements List.
 func (s *Secrank) Raw(day int) *rank.Ranking { return s.lists[day] }
 

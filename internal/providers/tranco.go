@@ -1,6 +1,8 @@
 package providers
 
 import (
+	"slices"
+
 	"toplists/internal/names"
 	"toplists/internal/psl"
 	"toplists/internal/rank"
@@ -76,6 +78,10 @@ func (t *Tranco) ComputeDay(day int) {
 // NumDays returns how many days have been computed.
 func (t *Tranco) NumDays() int { return len(t.lists) }
 
+// Archive returns the published days' rankings, clipped to their count.
+// ComputeDay only appends, so the slice stays valid with no lock.
+func (t *Tranco) Archive() []*rank.Ranking { return slices.Clip(t.lists) }
+
 // Raw implements List. Tranco publishes registrable domains already.
 func (t *Tranco) Raw(day int) *rank.Ranking { return t.lists[day] }
 
@@ -150,6 +156,10 @@ func (t *Trexa) ComputeDay(day int) {
 
 // NumDays returns how many days have been computed.
 func (t *Trexa) NumDays() int { return len(t.lists) }
+
+// Archive returns the published days' rankings, clipped to their count.
+// ComputeDay only appends, so the slice stays valid with no lock.
+func (t *Trexa) Archive() []*rank.Ranking { return slices.Clip(t.lists) }
 
 // Raw implements List.
 func (t *Trexa) Raw(day int) *rank.Ranking { return t.lists[day] }

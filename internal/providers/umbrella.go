@@ -309,6 +309,10 @@ func (u *Umbrella) SketchMemPeak() int { return u.memPeak }
 // NumDays returns how many days have been published.
 func (u *Umbrella) NumDays() int { return len(u.lists) }
 
+// Archive returns the published days' rankings, clipped to their count.
+// EndDay only appends, so the slice stays valid with no lock.
+func (u *Umbrella) Archive() []*rank.Ranking { return slices.Clip(u.lists) }
+
 // Raw implements List.
 func (u *Umbrella) Raw(day int) *rank.Ranking { return u.lists[day] }
 
