@@ -81,8 +81,8 @@ vantagecheck:
 	$(GO) test -run=TestVantageCheck -count=1 .
 
 # Short fuzz smoke of the rank-bucketing, interner, fault-plan, probe-key,
-# origin-parser, toplistsd query-parameter, and sketch targets (seeds +
-# 10s each).
+# origin-parser, toplistsd query-parameter, sketch and distinct-counter
+# decoder targets (seeds + 10s each).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScaledMagnitudes -fuzztime=10s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzBucketer -fuzztime=10s ./internal/rank
@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceSaving -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSketchMerge -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzHLL -fuzztime=10s ./internal/sketch
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeDistinct -fuzztime=10s ./internal/sketch
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -15,15 +15,13 @@ import (
 // backend values — query parameters are input from outside the process —
 // to /v1/rankings/{list} and /v1/diff on a tiny advanced 2-vantage ×
 // 2-backend study. No input may yield a 5xx, and every body must be valid
-// JSON. A list that is not one clean path segment ("", "..", "/") never
-// reaches the rankings handler — the mux answers it itself with a plain
-// 404 or a redirect — so only its /v1/diff request is checked.
+// JSON, including the 404 for a list that is not one clean path segment
+// ("", "..", "/").
 func FuzzServerQuery(f *testing.F) {
 	s := core.NewStudy(core.Config{Seed: 37, NumSites: 300, NumClients: 60, Days: 3, Workers: 1, Vantages: 2, Backends: 2})
 	f.Cleanup(s.Close)
 	srv := newServer(s, nil, 5, nil)
-	mux := srv.routes()
-	h := srv.withRecovery(mux)
+	h := srv.handler()
 	if rec := serve(h, "POST", "/v1/advance?days=2"); rec.Code != http.StatusOK {
 		f.Fatalf("advance: %d %s", rec.Code, rec.Body)
 	}
@@ -40,6 +38,8 @@ func FuzzServerQuery(f *testing.F) {
 		{"NoSuchList", "99", "x", "1e3", "99999999999999999999", "nowhere", "akamai"},
 		{"a/b", " 1", "+1", "0x1", "1 ", "%", "\xff"},
 		{"..", "0", "", "", "", "", ""},
+		{"/", "", "", "", "", "", ""},
+		{"", "", "", "", "", "", ""},
 	} {
 		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6])
 	}
@@ -50,10 +50,7 @@ func FuzzServerQuery(f *testing.F) {
 				q.Set(name, v)
 			}
 		}
-		target := "/v1/rankings/" + url.PathEscape(list) + "?" + q.Encode()
-		if _, pattern := mux.Handler(httptest.NewRequest("GET", target, nil)); pattern == "GET /v1/rankings/{list}" {
-			check(t, serve(h, "GET", target))
-		}
+		check(t, serve(h, "GET", "/v1/rankings/"+url.PathEscape(list)+"?"+q.Encode()))
 
 		q = url.Values{"list": {list}}
 		for name, v := range map[string]string{"from": from, "to": to, "k": k} {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
+	"path"
 	"runtime"
 	"strconv"
 	"strings"
@@ -131,12 +133,20 @@ func (s *server) handler() http.Handler {
 	return s.withRecovery(s.routes())
 }
 
+// notFound answers a path no route serves with a JSON 404.
+func notFound(w http.ResponseWriter, r *http.Request) {
+	writeErr(w, http.StatusNotFound, "no route for %s %s", r.Method, r.URL.Path)
+}
+
 // routes builds the API surface. Every handler answers JSON; errors are
 // {"error": "..."} with a meaningful status code. Each route is
 // individually instrumented (per-endpoint latency histogram, status-class
 // counters, access log), so the metric key set is fixed by the route
-// table, not by whatever paths clients probe.
-func (s *server) routes() *http.ServeMux {
+// table, not by whatever paths clients probe. A rankings path whose list
+// is not one clean path segment ("", "..", "/") answers a JSON 404 too,
+// uninstrumented: the mux would otherwise answer it itself, in plain text
+// or with a redirect to a path outside the API.
+func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	for pattern, h := range map[string]http.HandlerFunc{
 		"GET /healthz":            s.handleHealth,
@@ -152,7 +162,22 @@ func (s *server) routes() *http.ServeMux {
 	} {
 		mux.Handle(pattern, s.instrument(pattern, h))
 	}
-	return mux
+	mux.HandleFunc("GET /v1/rankings/", notFound)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := r.URL.EscapedPath(); strings.HasPrefix(p, "/v1/rankings/") && !isClean(p) {
+			notFound(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// isClean reports whether the mux serves path p as it is rather than
+// redirecting: p is its own path.Clean, give or take one trailing slash.
+// path.Clean does not allocate when it returns a prefix of its input.
+func isClean(p string) bool {
+	c := path.Clean(p)
+	return p == c || len(p) == len(c)+1 && strings.HasPrefix(p, c) && p[len(c)] == '/'
 }
 
 // statusRecorder captures the status code and payload size a handler
@@ -205,7 +230,9 @@ func (s *server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		default:
 			s.status5xx.Inc()
 		}
-		s.log.Debugf("http: %s %s -> %d %dB %s", r.Method, r.URL.Path, rec.status, rec.bytes, dur.Round(time.Microsecond))
+		if s.log.Enabled(obs.LevelDebug) {
+			s.log.Debugf("http: %s %s -> %d %dB %s", r.Method, r.URL.Path, rec.status, rec.bytes, dur.Round(time.Microsecond))
+		}
 	})
 }
 
@@ -262,10 +289,11 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// queryInt reads an integer query parameter, falling back to def when
-// absent. A malformed value reports ok=false after answering 400.
-func queryInt(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
-	raw := r.URL.Query().Get(name)
+// queryInt reads an integer query parameter from q, the request's parsed
+// query, falling back to def when absent. A malformed value reports
+// ok=false after answering 400.
+func queryInt(w http.ResponseWriter, q url.Values, name string, def int) (int, bool) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, true
 	}
@@ -335,7 +363,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // one; a canceled request (client went away mid-day) latches the study
 // and is reported like any other abort on the next call.
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	n, ok := queryInt(w, r, "days", 1)
+	n, ok := queryInt(w, r.URL.Query(), "days", 1)
 	if !ok {
 		return
 	}
@@ -533,12 +561,12 @@ func appendJSONString(b []byte, s string) []byte {
 // (vantage, backend) edge pipeline's view of the metric; an unknown
 // metric, vantage, or backend is 404.
 func (s *server) handleRankings(w http.ResponseWriter, r *http.Request) {
-	list := r.PathValue("list")
-	day, ok := queryInt(w, r, "day", s.study.Day()-1)
+	list, q := r.PathValue("list"), r.URL.Query()
+	day, ok := queryInt(w, q, "day", s.study.Day()-1)
 	if !ok {
 		return
 	}
-	k, ok := queryInt(w, r, "k", 100)
+	k, ok := queryInt(w, q, "k", 100)
 	if !ok {
 		return
 	}
@@ -546,8 +574,9 @@ func (s *server) handleRankings(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "k must be >= 0, got %d", k)
 		return
 	}
-	if vantage, backend := r.URL.Query().Get("vantage"), r.URL.Query().Get("backend"); vantage != "" || backend != "" {
-		s.edgeRankings(w, r, list, vantage, backend, day, k)
+	dayGiven := q.Get("day") != ""
+	if vantage, backend := q.Get("vantage"), q.Get("backend"); vantage != "" || backend != "" {
+		s.edgeRankings(w, list, vantage, backend, day, dayGiven, k)
 		return
 	}
 	ranking, err := s.study.RankingFor(list, day)
@@ -555,7 +584,7 @@ func (s *server) handleRankings(w http.ResponseWriter, r *http.Request) {
 		// A day the study can never serve is the caller's mistake (400); a
 		// valid day not yet advanced, or an unknown list, is 404.
 		code := http.StatusNotFound
-		if r.URL.Query().Get("day") != "" && (day >= s.study.Cfg.Days || day < 0) {
+		if dayGiven && (day >= s.study.Cfg.Days || day < 0) {
 			code = http.StatusBadRequest
 		}
 		writeErr(w, code, "%v", err)
@@ -578,8 +607,8 @@ func (s *server) handleRankings(w http.ResponseWriter, r *http.Request) {
 // Cloudflare metric. An omitted side of the edge key defaults to the
 // grid's first entry (the transparent global vantage, the Cloudflare-
 // style backend), so ?vantage=eu-central alone reads that vantage's view
-// of the primary backend.
-func (s *server) edgeRankings(w http.ResponseWriter, r *http.Request, metric, vantage, backend string, day, k int) {
+// of the primary backend. dayGiven says the request named the day.
+func (s *server) edgeRankings(w http.ResponseWriter, metric, vantage, backend string, day int, dayGiven bool, k int) {
 	if vantage == "" {
 		vantage = s.study.Vantages()[0].Name
 	}
@@ -591,7 +620,7 @@ func (s *server) edgeRankings(w http.ResponseWriter, r *http.Request, metric, va
 		// As for lists: a day the study can never serve is the caller's
 		// mistake (400); unknown keys and not-yet-advanced days are 404.
 		code := http.StatusNotFound
-		if r.URL.Query().Get("day") != "" && (day >= s.study.Cfg.Days || day < 0) {
+		if dayGiven && (day >= s.study.Cfg.Days || day < 0) {
 			code = http.StatusBadRequest
 		}
 		writeErr(w, code, "%v", err)
@@ -626,20 +655,21 @@ type diffResponse struct {
 // which names entered, which left, and the Jaccard similarity of the two
 // cuts — the day-over-day churn the paper studies in Section 4.
 func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	list := r.URL.Query().Get("list")
+	q := r.URL.Query()
+	list := q.Get("list")
 	if list == "" {
 		writeErr(w, http.StatusBadRequest, "parameter \"list\" is required")
 		return
 	}
-	to, ok := queryInt(w, r, "to", s.study.Day()-1)
+	to, ok := queryInt(w, q, "to", s.study.Day()-1)
 	if !ok {
 		return
 	}
-	from, ok := queryInt(w, r, "from", to-1)
+	from, ok := queryInt(w, q, "from", to-1)
 	if !ok {
 		return
 	}
-	k, ok := queryInt(w, r, "k", 100)
+	k, ok := queryInt(w, q, "k", 100)
 	if !ok {
 		return
 	}

@@ -191,6 +191,25 @@ func TestServerSmoke(t *testing.T) {
 	}
 }
 
+// TestServerUnroutableRankings: a rankings path whose list is not one
+// clean path segment answers a JSON 404 like any other unknown list,
+// instead of the mux's plain-text 404 or redirect.
+func TestServerUnroutableRankings(t *testing.T) {
+	h := newServer(testStudy(t, 2), nil, 5, nil).handler()
+	for _, target := range []string{
+		"/v1/rankings/", "/v1/rankings/..", "/v1/rankings/.", "/v1/rankings/%2F",
+		"/v1/rankings/Alexa/", "/v1/rankings/Alexa//", "/v1/rankings/a/../Alexa?k=1",
+	} {
+		rec := serve(h, "GET", target)
+		if rec.Code != http.StatusNotFound || !json.Valid(rec.Body.Bytes()) {
+			t.Errorf("GET %s: status %d, body %q; want a JSON 404", target, rec.Code, rec.Body)
+		}
+	}
+	if rec := serve(h, "POST", "/v1/rankings/Alexa"); rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/rankings/Alexa: status %d, want 405", rec.Code)
+	}
+}
+
 // TestServerCheckpointUnconfigured: without -checkpoint the endpoint is a
 // clean 400.
 func TestServerCheckpointUnconfigured(t *testing.T) {

@@ -49,3 +49,45 @@ func TestSketchHotPathZeroAllocs(t *testing.T) {
 		t.Errorf("SpaceSaving.Add (update path) allocates %.3f per call", avg)
 	}
 }
+
+// TestTopKDistinctAddZeroAllocs pins steady-state TopKDistinct.Add once
+// its pool is warm: the eviction path recycles the coldest key's sparse
+// counter with its pair capacity, and the update path raises registers in
+// place, whether the key's counter is sparse or has gone dense.
+func TestTopKDistinctAddZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is noisy under -short test caches")
+	}
+
+	src := simrand.New(2)
+	tkd := NewTopKDistinct(256, 11)
+	for i := 0; i < 4096; i++ {
+		tkd.Add(src.Uint64(), src.Uint64())
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		tkd.Add(src.Uint64(), src.Uint64()) // a fresh key: evicts
+	}); avg != 0 {
+		t.Errorf("TopKDistinct.Add (eviction path) allocates %.3f per call", avg)
+	}
+
+	// Key 42 goes dense, key 43 stays sparse; both are then hot enough
+	// to stay tracked, and see only items they already hold.
+	for i := uint64(0); i < 4096; i++ {
+		tkd.Add(42, i)
+		tkd.Add(43, i%16)
+	}
+	if h := tkd.payloads[tkd.SS.Slot(42)]; h.regs == nil {
+		t.Fatal("key 42's counter is still sparse")
+	}
+	if h := tkd.payloads[tkd.SS.Slot(43)]; h.regs != nil {
+		t.Fatal("key 43's counter went dense")
+	}
+	var i uint64
+	if avg := testing.AllocsPerRun(2000, func() {
+		i++
+		tkd.Add(42, i%4096)
+		tkd.Add(43, i%16)
+	}); avg != 0 {
+		t.Errorf("TopKDistinct.Add (update path) allocates %.3f per call", avg)
+	}
+}

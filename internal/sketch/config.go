@@ -25,8 +25,10 @@ const (
 	cmWidth, cmDepth = 8192, 4
 
 	// hllPrecision is the register exponent of the per-key HyperLogLog
-	// distinct counters: 2 KiB per tracked key, ≈2.3% standard error;
-	// small counts fall in the near-exact linear-counting range.
+	// distinct counters: ≈2.3% standard error, and small counts fall in
+	// the near-exact linear-counting range. A key's counter starts sparse,
+	// 4 B per non-zero register, and takes the 2 KiB register file only
+	// past 128 of them (m/16); Count is bit-identical in either form.
 	hllPrecision = 11
 
 	// profileK bounds the per-client-IP domain profile kept by the Secrank

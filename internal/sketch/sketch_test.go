@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,42 +170,144 @@ func TestNewHLLBounds(t *testing.T) {
 }
 
 // refCount is the HLL estimator evaluated with one math.Ldexp call per
-// register, in register order. HLL.Count must be bit-identical to it.
+// register, in register order, over the dense registers h stands for.
+// HLL.Count must be bit-identical to it in either form.
 func refCount(h *HLL) float64 {
-	m := float64(len(h.regs))
+	regs := h.registers()
+	m := float64(len(regs))
 	var sum float64
 	zeros := 0
-	for _, r := range h.regs {
+	for _, r := range regs {
 		sum += math.Ldexp(1, -int(r))
 		if r == 0 {
 			zeros++
 		}
 	}
-	est := alpha(len(h.regs)) * m * m / sum
+	est := alpha(len(regs)) * m * m / sum
 	if est <= 2.5*m && zeros > 0 {
 		return m * math.Log(m/float64(zeros))
 	}
 	return est
 }
 
-// requireMergeIsByteMax merges b into a copy of a and checks every
-// register against the byte-wise maximum.
-func requireMergeIsByteMax(t *testing.T, a, b *HLL) {
-	t.Helper()
-	got := &HLL{p: a.p, regs: append([]uint8(nil), a.regs...)}
-	got.Merge(b)
-	for i := range a.regs {
-		if want := max(a.regs[i], b.regs[i]); got.regs[i] != want {
-			t.Fatalf("p=%d register %d: merged %d, want max(%d, %d)", a.p, i, got.regs[i], a.regs[i], b.regs[i])
+// copyHLL returns an independent copy of h in h's form.
+func copyHLL(h *HLL) *HLL {
+	return &HLL{p: h.p, regs: slices.Clone(h.regs), pairs: slices.Clone(h.pairs)}
+}
+
+// nonZero counts h's non-zero registers.
+func nonZero(h *HLL) int {
+	n := 0
+	for _, r := range h.registers() {
+		if r != 0 {
+			n++
 		}
 	}
+	return n
+}
+
+// requireMergeIsByteMax merges b into a copy of a and checks every
+// register against the byte-wise maximum.
+func requireMergeIsByteMax(t *testing.T, a, b *HLL) *HLL {
+	t.Helper()
+	got := copyHLL(a)
+	got.Merge(b)
+	ra, rb, rg := a.registers(), b.registers(), got.registers()
+	for i := range ra {
+		if want := max(ra[i], rb[i]); rg[i] != want {
+			t.Fatalf("p=%d register %d: merged %d, want max(%d, %d) (sparse %v <- %v)",
+				a.p, i, rg[i], ra[i], rb[i], a.regs == nil, b.regs == nil)
+		}
+	}
+	return got
 }
 
 func requireCountBits(t *testing.T, h *HLL) {
 	t.Helper()
 	if got, want := h.Count(), refCount(h); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("p=%d: Count %v (%#x), Ldexp reference %v (%#x)",
-			h.p, got, math.Float64bits(got), want, math.Float64bits(want))
+		t.Fatalf("p=%d sparse %v: Count %v (%#x), Ldexp reference %v (%#x)",
+			h.p, h.regs == nil, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// requireSparseForm fails unless h, built only from sparse counters, is
+// dense exactly when it has more non-zero registers than sparseLimit
+// allows, and its sparse pairs are sorted by index with non-zero values.
+func requireSparseForm(t *testing.T, h *HLL) {
+	t.Helper()
+	if dense, over := h.regs != nil, nonZero(h) > sparseLimit(h.p); dense != over {
+		t.Fatalf("p=%d: dense %v with %d non-zero registers (limit %d)", h.p, dense, nonZero(h), sparseLimit(h.p))
+	}
+	for i, e := range h.pairs {
+		if uint8(e) == 0 || i > 0 && h.pairs[i-1]>>8 >= e>>8 {
+			t.Fatalf("p=%d: pair %d (%#x) zero or out of order", h.p, i, e)
+		}
+	}
+}
+
+// requireSparseMatchesDense builds streams a and b into sparse-born and
+// dense counters. Each sparse counter must hold its dense twin's
+// registers in the form its size calls for, count bit-identically to the
+// Ldexp reference and encode to the same bytes; merges in all four
+// sparse/dense pairings must give the byte-wise maximum.
+func requireSparseMatchesDense(t *testing.T, p uint8, a, b []uint64) {
+	t.Helper()
+	sa, sb, da, db := newSparseHLL(p), newSparseHLL(p), NewHLL(p), NewHLL(p)
+	for _, x := range a {
+		sa.Add(x)
+		da.Add(x)
+	}
+	for _, x := range b {
+		sb.Add(x)
+		db.Add(x)
+	}
+	for _, pair := range [][2]*HLL{{sa, da}, {sb, db}} {
+		sp, dn := pair[0], pair[1]
+		requireSparseForm(t, sp)
+		if string(sp.registers()) != string(dn.regs) {
+			t.Fatal("sparse registers differ from the dense counter's")
+		}
+		requireCountBits(t, sp)
+		if string(encodeBytes(t, sp)) != string(encodeBytes(t, dn)) {
+			t.Fatal("sparse and dense counters encode differently")
+		}
+	}
+	for _, l := range []*HLL{sa, da} {
+		for _, r := range []*HLL{sb, db} {
+			got := requireMergeIsByteMax(t, l, r)
+			requireCountBits(t, got)
+			if l.regs == nil && r.regs == nil {
+				requireSparseForm(t, got)
+			}
+		}
+	}
+	self := copyHLL(sa)
+	self.Merge(self)
+	if string(self.registers()) != string(sa.registers()) {
+		t.Fatal("merging a sparse counter into itself changed it")
+	}
+}
+
+// TestHLLSparseMatchesDense runs the sparse/dense equivalence over every
+// low precision and stream lengths on both sides of the densify limit.
+// The two streams share half their items, and at these sizes they also
+// share registers through distinct items, so merges meet equal indices
+// with different values.
+func TestHLLSparseMatchesDense(t *testing.T) {
+	src := simrand.New(11)
+	for p := uint8(4); p <= 12; p++ {
+		limit := sparseLimit(p)
+		for _, n := range []int{0, 1, limit / 2, limit, limit + 1, 2 * limit, 8 * limit, 1 << (p + 2)} {
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = src.Uint64()
+			}
+			b := append([]uint64(nil), a[:n/2]...)
+			for len(b) < n {
+				b = append(b, src.Uint64())
+			}
+			requireSparseMatchesDense(t, p, a, b)
+		}
 	}
 }
 
@@ -212,7 +315,11 @@ func requireCountBits(t *testing.T, h *HLL) {
 // stream split into two HLLs at p in [4,18] must count bit-identically to
 // the per-register Ldexp loop and merge to the byte-wise maximum (and to
 // the HLL of the whole stream). Register files taken straight from the
-// input reach register values and sums streams rarely do. TopKDistinct's
+// input reach register values and sums streams rarely do. The same
+// streams, stretched so they cross the densify limit part-way, build
+// sparse counters that must hold the dense counters' registers, count
+// bit-identically, merge in all four sparse/dense pairings to the
+// byte-wise maximum, and encode to the same bytes. TopKDistinct's
 // slot-paired merge must match the map-based reference.
 func FuzzHLL(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(7), uint8(5))
@@ -221,6 +328,8 @@ func FuzzHLL(f *testing.F) {
 	// Registers up to 55 at p=10: partial sums round, so any change to the
 	// summation order shows in the low bits.
 	f.Add([]byte("register files with large values round in the float sum"), uint8(6), uint8(9))
+	// p=11, stretched 32x: the sparse counters densify part-way.
+	f.Add([]byte("a stream long enough to pass 128 pairs at p=11"), uint8(7), uint8(31))
 	f.Fuzz(func(t *testing.T, raw []byte, pRaw, cut uint8) {
 		p := 4 + pRaw%15
 		var items []uint64
@@ -263,20 +372,34 @@ func FuzzHLL(f *testing.F) {
 			requireMergeIsByteMax(t, x, y)
 		}
 
-		// Keys from the item bytes, capacity from the split: small enough
-		// that merges evict, drop and clone counters.
-		k := 1 + int(cut)%6
-		tkd := [4]*TopKDistinct{}
-		for i := range tkd {
-			tkd[i] = NewTopKDistinct(k, 4)
-		}
+		// Sparse rows: each item stands for 1+cut%32 items, so short
+		// inputs still cross the densify limit at the usual precisions.
+		stretch := 1 + int(cut)%32
+		var streams [2][]uint64
 		for i, x := range items {
 			side := 0
 			if i >= split {
 				side = 1
 			}
-			tkd[side].Add(x%11, x)
-			tkd[side+2].Add(x%11, x)
+			for j := range stretch {
+				streams[side] = append(streams[side], x+uint64(j)*0x9e3779b97f4a7c15)
+			}
+		}
+		requireSparseMatchesDense(t, p, streams[0], streams[1])
+
+		// Keys from the item bytes, capacity from the split: small enough
+		// that merges evict, drop and clone counters. Low precisions put
+		// the densify limit at 1 to 16 pairs, so payloads cross it.
+		k, tp := 1+int(cut)%6, 4+pRaw%5
+		tkd := [4]*TopKDistinct{}
+		for i := range tkd {
+			tkd[i] = NewTopKDistinct(k, tp)
+		}
+		for side, stream := range streams {
+			for _, y := range stream {
+				tkd[side].Add(y%11, y)
+				tkd[side+2].Add(y%11, y)
+			}
 		}
 		tkd[0].Merge(tkd[1])
 		refMergeTopKDistinct(tkd[2], tkd[3])

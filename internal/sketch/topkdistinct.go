@@ -1,14 +1,17 @@
 package sketch
 
-import "slices"
-
 // TopKDistinct couples a SpaceSaving candidate summary with one HLL per
 // tracked key: the shape of a bounded "unique visitors per name" aggregation.
 // Candidate selection is by event volume (the space-saving count), while the
-// published score per candidate is the HLL's distinct estimate. HLLs ride in
+// published score per candidate is the HLL's distinct estimate. The HLLs
+// start sparse, so a key seen by a few items costs a few pairs instead of a
+// register file, and only keys with more than m/16 non-zero registers go
+// dense. A payload is dense exactly when it holds more than that, so the
+// summary's form and MemBytes follow from its contents alone. HLLs ride in
 // a slot-indexed slice so the per-event path reuses the evicted key's
-// counter in place and never allocates in steady state; evicted and merged
-// counters are recycled through a free list.
+// counter, pair capacity included, and allocates in steady state only when
+// a counter's pair list grows or goes dense; evicted and merged counters
+// are recycled through a free list.
 type TopKDistinct struct {
 	SS *SpaceSaving
 
@@ -20,29 +23,25 @@ type TopKDistinct struct {
 // NewTopKDistinct returns an empty summary tracking at most k keys with
 // 2^p-register HLL payloads.
 func NewTopKDistinct(k int, p uint8) *TopKDistinct {
+	checkPrecision(p)
 	return &TopKDistinct{SS: NewSpaceSaving(k), p: p}
 }
 
+// alloc returns an empty sparse counter, pooled when one is free.
 func (t *TopKDistinct) alloc() *HLL {
 	if n := len(t.free); n > 0 {
 		h := t.free[n-1]
 		t.free = t.free[:n-1]
-		h.Reset()
+		h.resetSparse()
 		return h
 	}
-	return NewHLL(t.p)
+	return newSparseHLL(t.p)
 }
 
-// clone returns a counter holding a copy of h's registers, reusing a pooled
-// one when available; the copy overwrites every register, so no Reset.
+// clone returns a counter holding a copy of h's registers in h's form.
 func (t *TopKDistinct) clone(h *HLL) *HLL {
-	n := len(t.free)
-	if n == 0 {
-		return &HLL{p: t.p, regs: slices.Clone(h.regs)}
-	}
-	c := t.free[n-1]
-	t.free = t.free[:n-1]
-	copy(c.regs, h.regs)
+	c := t.alloc()
+	c.Merge(h)
 	return c
 }
 
@@ -55,7 +54,7 @@ func (t *TopKDistinct) Add(key uint64, item uint64) {
 	if int(slot) == len(t.payloads) {
 		t.payloads = append(t.payloads, t.alloc())
 	} else if evicted {
-		t.payloads[slot].Reset()
+		t.payloads[slot].resetSparse()
 	}
 	t.payloads[slot].Add(item)
 }
@@ -120,8 +119,12 @@ func (t *TopKDistinct) Reset() {
 	t.payloads = t.payloads[:0]
 }
 
-// MemBytes returns the logical footprint: the space-saving summary plus one
-// HLL per tracked key.
+// MemBytes returns the logical footprint: the space-saving summary plus
+// each tracked key's HLL in the form it is held.
 func (t *TopKDistinct) MemBytes() int {
-	return t.SS.MemBytes() + len(t.payloads)*(1<<t.p)
+	n := t.SS.MemBytes()
+	for _, h := range t.payloads {
+		n += h.MemBytes()
+	}
+	return n
 }

@@ -38,7 +38,8 @@ func refMergeTopKDistinct(t, o *TopKDistinct) {
 }
 
 // requireSameTopKDistinct fails unless a and b track the same keys with
-// the same counts, slots and registers.
+// the same counts, slots, registers and register forms, every payload is
+// dense exactly when it outgrew the sparse form, and MemBytes agrees.
 func requireSameTopKDistinct(t *testing.T, a, b *TopKDistinct) {
 	t.Helper()
 	ea, eb := a.Entries(nil), b.Entries(nil)
@@ -50,9 +51,14 @@ func requireSameTopKDistinct(t *testing.T, a, b *TopKDistinct) {
 			t.Fatalf("entry %d: %+v, reference %+v", i, ea[i], eb[i])
 		}
 		ha, hb := a.payloads[ea[i].Slot], b.payloads[eb[i].Slot]
-		if string(ha.regs) != string(hb.regs) {
+		if string(ha.registers()) != string(hb.registers()) {
 			t.Fatalf("key %d: registers differ from reference", ea[i].Key)
 		}
+		requireSparseForm(t, ha)
+		requireSparseForm(t, hb)
+	}
+	if a.MemBytes() != b.MemBytes() {
+		t.Fatalf("MemBytes %d, reference %d", a.MemBytes(), b.MemBytes())
 	}
 }
 

@@ -200,6 +200,9 @@ func (d *Decoder) Len(minItemBytes int) int {
 	return int(n)
 }
 
+// Offset reports how many payload bytes have been consumed.
+func (d *Decoder) Offset() int { return d.off }
+
 // Err reports the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
