@@ -23,13 +23,14 @@ benchvet:
 # probe network injects faults under load; the race pass covers every
 # package that touches a parallel path, with -shuffle=on so test-order
 # coupling can't hide behind a fixed schedule.
-# The tracer ring, the study's probe table and the lock-free ranking reads
+# The tracer ring, the study's probe table, the lock-free ranking reads
 # (checked against a serial study while days advance, and shown not to
-# wait behind an advance holding the lifecycle lock) are hammered ten
-# times over first, since one pass rarely lands two goroutines on the same
-# slot, sweep or day.
+# wait behind an advance holding the lifecycle lock) and the lock-free CF
+# set reads (shown not to wait behind a sweep holding the probe lock) are
+# hammered ten times over first, since one pass rarely lands two
+# goroutines on the same slot, sweep or day.
 race:
-	$(GO) test -race -count=10 -run 'TestTraceConcurrentSpans|TestProbeTableConcurrent|TestReadsDuringAdvance|TestReadsDoNotWaitForAdvance' ./internal/obs ./internal/core
+	$(GO) test -race -count=10 -run 'TestTraceConcurrentSpans|TestProbeTableConcurrent|TestReadsDuringAdvance|TestReadsDoNotWaitForAdvance|TestCFSetReadsDoNotWaitForSweep' ./internal/obs ./internal/core
 	$(GO) test -race -shuffle=on ./internal/names ./internal/rank ./internal/sketch ./internal/cfmetrics ./internal/chrome ./internal/providers ./internal/traffic ./internal/core ./internal/experiments ./internal/httpsim ./internal/obs ./internal/snapshot ./internal/world ./internal/dnssim ./internal/sweep ./internal/perfgate ./cmd/toplistsd
 
 # faultcheck is the fault-injection determinism oracle: a fixed seed at a

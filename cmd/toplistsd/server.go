@@ -138,14 +138,29 @@ func notFound(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusNotFound, "no route for %s %s", r.Method, r.URL.Path)
 }
 
+// notAllowed answers a route's path under a method the route does not
+// serve with a JSON 405 naming the methods it does.
+func notAllowed(method string) http.HandlerFunc {
+	allow := method
+	if method == http.MethodGet {
+		allow = "GET, HEAD" // a GET pattern serves HEAD too
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", allow)
+		writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed for %s (allowed: %s)", r.Method, r.URL.Path, allow)
+	}
+}
+
 // routes builds the API surface. Every handler answers JSON; errors are
 // {"error": "..."} with a meaningful status code. Each route is
 // individually instrumented (per-endpoint latency histogram, status-class
 // counters, access log), so the metric key set is fixed by the route
-// table, not by whatever paths clients probe. A rankings path whose list
-// is not one clean path segment ("", "..", "/") answers a JSON 404 too,
-// uninstrumented: the mux would otherwise answer it itself, in plain text
-// or with a redirect to a path outside the API.
+// table, not by whatever paths clients probe. The mux never answers for
+// itself, since it would answer in plain text or with a redirect: a route
+// path under another method gets a JSON 405, any other path a JSON 404,
+// and so does a path the mux would redirect to its clean form (such as a
+// rankings list that is not one clean path segment: "", "..", "/"). These
+// answers are uninstrumented.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	for pattern, h := range map[string]http.HandlerFunc{
@@ -161,10 +176,14 @@ func (s *server) routes() http.Handler {
 		"POST /v1/checkpoint":     s.handleCheckpoint,
 	} {
 		mux.Handle(pattern, s.instrument(pattern, h))
+		method, path, _ := strings.Cut(pattern, " ")
+		mux.Handle(path, notAllowed(method))
 	}
-	mux.HandleFunc("GET /v1/rankings/", notFound)
+	// No other pattern ends in a slash, so the mux never redirects a path
+	// to its slash-terminated form either.
+	mux.HandleFunc("/", notFound)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if p := r.URL.EscapedPath(); strings.HasPrefix(p, "/v1/rankings/") && !isClean(p) {
+		if !isClean(r.URL.EscapedPath()) {
 			notFound(w, r)
 			return
 		}
@@ -173,11 +192,15 @@ func (s *server) routes() http.Handler {
 }
 
 // isClean reports whether the mux serves path p as it is rather than
-// redirecting: p is its own path.Clean, give or take one trailing slash.
-// path.Clean does not allocate when it returns a prefix of its input.
+// redirecting: p is rooted and is its own path.Clean, give or take one
+// trailing slash after a non-root path ("//" cleans to "/"). path.Clean
+// does not allocate when it returns a prefix of its input.
 func isClean(p string) bool {
+	if !strings.HasPrefix(p, "/") {
+		return false
+	}
 	c := path.Clean(p)
-	return p == c || len(p) == len(c)+1 && strings.HasPrefix(p, c) && p[len(c)] == '/'
+	return p == c || c != "/" && len(p) == len(c)+1 && strings.HasPrefix(p, c) && p[len(c)] == '/'
 }
 
 // statusRecorder captures the status code and payload size a handler

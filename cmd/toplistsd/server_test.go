@@ -210,6 +210,42 @@ func TestServerUnroutableRankings(t *testing.T) {
 	}
 }
 
+// TestServerMuxErrorsAreJSON: requests no route serves get a JSON error
+// with the right status (404 for an unknown or unclean path, 405 with an
+// Allow header for a route path under another method), never the mux's
+// plain-text answer or a redirect.
+func TestServerMuxErrorsAreJSON(t *testing.T) {
+	h := newServer(testStudy(t, 2), nil, 5, nil).handler()
+	for _, c := range []struct {
+		method, target string
+		code           int
+		allow          string
+	}{
+		{"GET", "/nope", http.StatusNotFound, ""},
+		{"DELETE", "/nope", http.StatusNotFound, ""},
+		{"GET", "/", http.StatusNotFound, ""},
+		{"GET", "/v1/rankings", http.StatusNotFound, ""},
+		{"GET", "/healthz/", http.StatusNotFound, ""},
+		{"GET", "/v1//status", http.StatusNotFound, ""},
+		{"GET", "/v1/./status", http.StatusNotFound, ""},
+		{"GET", "/nope/../v1/status", http.StatusNotFound, ""},
+		{"POST", "/v1/advance/", http.StatusNotFound, ""},
+		{"POST", "/v1/rankings/Alexa", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{"PUT", "/v1/status", http.StatusMethodNotAllowed, "GET, HEAD"},
+		{"GET", "/v1/advance", http.StatusMethodNotAllowed, "POST"},
+		{"HEAD", "/v1/checkpoint", http.StatusMethodNotAllowed, "POST"},
+	} {
+		rec := serve(h, c.method, c.target)
+		var body map[string]string
+		if rec.Code != c.code || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body["error"] == "" {
+			t.Errorf("%s %s: status %d, body %q; want a JSON %d error", c.method, c.target, rec.Code, rec.Body, c.code)
+		}
+		if got := rec.Header().Get("Allow"); got != c.allow {
+			t.Errorf("%s %s: Allow %q, want %q", c.method, c.target, got, c.allow)
+		}
+	}
+}
+
 // TestServerCheckpointUnconfigured: without -checkpoint the endpoint is a
 // clean 400.
 func TestServerCheckpointUnconfigured(t *testing.T) {

@@ -59,11 +59,17 @@ type Artifacts struct {
 	// verdict: Cloudflare-served or not (Unknown after the last sweep day
 	// counts as not).
 	probed map[string]bool
-	// cfDomains and cfIDs are the probed Cloudflare set over the site
-	// domains, as names and as an interned bitset; nil until ProbeCF
-	// completes.
-	cfDomains map[string]struct{}
-	cfIDs     *names.Set
+	// cf is the probed Cloudflare set over the site domains, published
+	// once ProbeCF completes (nil until then). It never changes after, so
+	// readers load it without probeMu and never queue behind a sweep of
+	// other hosts.
+	cf atomic.Pointer[cfSet]
+}
+
+// cfSet is the Cloudflare set as names and as an interned bitset.
+type cfSet struct {
+	domains map[string]struct{}
+	ids     *names.Set
 }
 
 type rankingEntry struct {
@@ -259,20 +265,21 @@ func (a *Artifacts) TelemetryRanking(c world.Country, p world.Platform, m chrome
 // keeping those that answer with a cf-ray header. Callers must not modify
 // the returned set.
 func (a *Artifacts) CFDomains() map[string]struct{} {
-	a.probeMu.Lock()
-	defer a.probeMu.Unlock()
-	mustProbe(a.probeCF(context.Background()))
-	return a.cfDomains
+	return a.cfSet().domains
 }
 
 // CFDomainIDs is the interned form of CFDomains: the same probed set as a
 // bitset over the world's name table, usable with rank.FilterIDs and
 // stats.JaccardIDs. Built from the same single probe sweep.
 func (a *Artifacts) CFDomainIDs() *names.Set {
-	a.probeMu.Lock()
-	defer a.probeMu.Unlock()
-	mustProbe(a.probeCF(context.Background()))
-	return a.cfIDs
+	return a.cfSet().ids
+}
+
+// cfSet returns the published Cloudflare set, probing it first if no
+// sweep has completed it yet.
+func (a *Artifacts) cfSet() *cfSet {
+	mustProbe(a.ProbeCF(context.Background()))
+	return a.cf.Load()
 }
 
 func mustProbe(err error) {
@@ -285,20 +292,19 @@ func mustProbe(err error) {
 }
 
 // ProbeCF establishes the Cloudflare set over the site domains, probing
-// only the domains no earlier sweep in this study covered. Concurrent
-// requesters wait for the in-flight sweep; a sweep aborted by ctx records
-// nothing, so the next caller retries. Experiments that honor
-// cancellation call this (with their context) before touching CFDomains
-// or CFDomainIDs.
+// only the domains no earlier sweep in this study covered. Once the set
+// is published it returns at once, whatever other sweep holds the probe
+// lock. Until then, concurrent requesters wait for the in-flight sweep; a
+// sweep aborted by ctx records nothing, so the next caller retries.
+// Experiments that honor cancellation call this (with their context)
+// before touching CFDomains or CFDomainIDs.
 func (a *Artifacts) ProbeCF(ctx context.Context) error {
+	if a.cf.Load() != nil {
+		return nil
+	}
 	a.probeMu.Lock()
 	defer a.probeMu.Unlock()
-	return a.probeCF(ctx)
-}
-
-// probeCF is ProbeCF with probeMu held.
-func (a *Artifacts) probeCF(ctx context.Context) error {
-	if a.cfIDs != nil {
+	if a.cf.Load() != nil {
 		return nil
 	}
 	w := a.s.World
@@ -321,8 +327,7 @@ func (a *Artifacts) probeCF(ctx context.Context) error {
 			ids = append(ids, id)
 		}
 	}
-	a.cfDomains = cf
-	a.cfIDs = names.NewSet(ids)
+	a.cf.Store(&cfSet{domains: cf, ids: names.NewSet(ids)})
 	a.cfDomainsG.Set(int64(len(cf)))
 	return nil
 }

@@ -14,10 +14,11 @@ import (
 // unreachable entries on later days rather than dropping them outright.
 const probeSweepDays = 3
 
-// newProber builds the study's hardened prober. The per-attempt bound is a
-// pure safety net, set far above any plausible in-memory latency: injected
-// stalls self-resolve on their own fixed schedule, so nothing should ever
-// hit this timeout. That matters for determinism — a spurious timeout on a
+// newProber builds the study's hardened prober over the study network,
+// which carries the study's configured fault weather. The per-attempt
+// bound is a pure safety net, set far above any plausible in-memory
+// latency: an injected stall resolves at once with its own transient
+// error, so nothing should ever hit this timeout. That matters for determinism — a spurious timeout on a
 // loaded machine would consume an attempt number and shift every later
 // fault decision.
 func (s *Study) newProber() (*httpsim.Prober, error) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"toplists/internal/rank"
 )
@@ -290,4 +291,83 @@ func TestFaultPlanDerivation(t *testing.T) {
 	if NewStudy(Config{Seed: 1, NumSites: 400}).FaultPlan() != nil {
 		t.Error("rate-0 study has a fault plan")
 	}
+}
+
+// gateCtx holds every Value lookup until release is closed, and closes
+// entered on the first one. A probe sweep makes its first lookup while
+// setting up its first request, with the probe lock already held, so a
+// sweep under a gateCtx holds that lock for as long as a test wants.
+type gateCtx struct {
+	context.Context
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (c *gateCtx) Value(key any) any {
+	c.once.Do(func() { close(c.entered) })
+	<-c.release
+	return c.Context.Value(key)
+}
+
+// TestCFSetReadsDoNotWaitForSweep: once ProbeCF has completed, the CF set
+// reads return while a Table 1-style sweep of other hosts holds the probe
+// lock, and they return the set ProbeCF published.
+func TestCFSetReadsDoNotWaitForSweep(t *testing.T) {
+	s := NewStudy(probeTableConfig)
+	s.Run()
+	defer s.Close()
+	a := s.Artifacts()
+	mustProbe(a.ProbeCF(context.Background()))
+	wantIDs, wantDomains := a.CFDomainIDs(), a.CFDomains()
+
+	gate := &gateCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	swept := make(chan error, 1)
+	go func() {
+		_, err := s.ProbeHostsContext(gate, probeMix(s))
+		swept <- err
+	}()
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate.release)
+			if err := <-swept; err != nil {
+				t.Errorf("ProbeHostsContext: %v", err)
+			}
+		}
+	}
+	defer release()
+
+	const bound = 30 * time.Second
+	select {
+	case <-gate.entered:
+	case <-time.After(bound):
+		t.Fatal("the sweep never started a probe")
+	}
+	if a.probeMu.TryLock() {
+		a.probeMu.Unlock()
+		t.Fatal("the sweep does not hold the probe lock")
+	}
+
+	read := make(chan error, 1)
+	go func() {
+		if err := a.ProbeCF(context.Background()); err != nil {
+			read <- err
+			return
+		}
+		if a.CFDomainIDs() != wantIDs || len(a.CFDomains()) != len(wantDomains) {
+			read <- errors.New("the CF set changed after ProbeCF published it")
+			return
+		}
+		read <- nil
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(bound):
+		t.Fatal("CF set reads waited behind a sweep of other hosts")
+	}
+	release()
 }

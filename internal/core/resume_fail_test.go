@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -179,30 +180,44 @@ func metaFrame(t *testing.T, b []byte) snapshot.Frame {
 	return frames[0]
 }
 
-// withNegativeSites rewrites the meta frame's NumSites to -1 and fixes the
-// frame checksum, so only semantic validation can catch it. NumSites
-// follows the version and seed uvarints; -1 zig-zags to 1, written as a
-// padded varint of the original field's width so no length changes.
+// withNegativeSites rewrites the meta frame's NumSites to -1, encoded
+// minimally as the codec requires, and rebuilds the container around the
+// shorter payload with valid checksums, so only semantic validation can
+// catch it. NumSites follows the version and seed uvarints.
 func withNegativeSites(t *testing.T, b []byte) []byte {
 	t.Helper()
-	b = bytes.Clone(b)
-	meta := metaFrame(t, b)
-	off := meta.PayloadOff
-	for range 2 { // version, seed
-		_, n := binary.Uvarint(b[off:])
-		off += n
+	frames, err := snapshot.Scan(b)
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
 	}
-	_, width := binary.Varint(b[off:])
-	for i := range width {
-		b[off+i] = 0x80
+	var out bytes.Buffer
+	sw, err := snapshot.NewWriter(&out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b[off] |= 1
-	b[off+width-1] &^= 0x80
-	if v, n := binary.Varint(b[off:]); v != -1 || n != width {
-		t.Fatalf("patched NumSites decodes as %d over %d bytes, want -1 over %d", v, n, width)
+	for _, f := range frames {
+		payload := b[f.PayloadOff : f.PayloadOff+f.PayloadLen]
+		if f.Name == compMeta {
+			off := 0
+			for range 2 { // version, seed
+				_, n := binary.Uvarint(payload[off:])
+				off += n
+			}
+			_, width := binary.Varint(payload[off:])
+			patched := binary.AppendVarint(bytes.Clone(payload[:off]), -1)
+			payload = append(patched, payload[off+width:]...)
+		}
+		if err := sw.Component(f.Name, func(w io.Writer) error {
+			_, err := w.Write(payload)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snapshot.FixCRC(b, meta)
-	return b
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestResumeRejectsInvalidMeta: a checksum-valid meta frame whose config

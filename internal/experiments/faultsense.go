@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"time"
 
 	"toplists/internal/cfmetrics"
@@ -71,117 +72,206 @@ type FaultSenseResult struct {
 // ID implements Result.
 func (r *FaultSenseResult) ID() string { return "faultsense" }
 
-// RunFaultSense runs the sweep. Each rate gets its own virtual network
-// (the shared study network keeps the study's configured weather), seeded
-// from the study's fault seed so the sweep is as reproducible as the
-// study itself.
+// RunFaultSense runs the sweep over one virtual network of its own (the
+// shared study network keeps the study's configured weather), installing
+// each rate's plan in turn, seeded from the study's fault seed so the
+// sweep is as reproducible as the study itself.
+//
+// Only what the weather can change is probed. The 0% rows are the
+// fault-free verdicts: when the study network has no fault plan they are
+// read from the study's probe table (Artifacts.CFDomains), otherwise both
+// disciplines probe every host on the clean sweep network. At a nonzero
+// rate, a host whose first attempt no fault touches
+// (httpsim.Network.FaultTouches) classifies on that attempt, as it does at
+// 0%, so it keeps its 0% verdict under both disciplines. Only the touched
+// hosts are probed, over real net/http. That is exact because breakers
+// are per host and every fault roll is a pure function of (seed, host,
+// day, attempt): a touched host meets the same weather alone as it would
+// among all the others.
 func RunFaultSense(ctx context.Context, s *core.Study) (Result, error) {
-	w := s.World
-	nHosts := w.NumSites()
-	if nHosts > faultSenseMaxHosts {
-		nHosts = faultSenseMaxHosts
+	fs := newFaultSense(s)
+	n := fs.network()
+	defer n.Close()
+
+	// Probe the touched hosts first: that needs nothing from the study's
+	// probe table, so it never waits behind another experiment's sweep.
+	type pass struct {
+		touched          []string
+		naive, resilient map[string]struct{}
 	}
-	hosts := make([]string, nHosts)
-	truth := make(map[string]struct{})
-	for i := 0; i < nHosts; i++ {
-		site := w.Site(int32(i))
-		hosts[i] = site.Domain
-		if site.Cloudflare() {
-			truth[site.Domain] = struct{}{}
+	passes := make([]pass, len(faultSenseRates))
+	for i, rate := range faultSenseRates {
+		if rate == 0 {
+			continue
+		}
+		n.SetFaultPlan(&faults.Plan{Seed: s.FaultSeed(), Rate: rate})
+		var touched []string
+		for _, h := range fs.hosts {
+			if n.FaultTouches(h) {
+				touched = append(touched, h)
+			}
+		}
+		naive, resilient, err := probeBoth(ctx, n, touched)
+		if err != nil {
+			return nil, err
+		}
+		passes[i] = pass{touched, naive, resilient}
+	}
+
+	var baseNaive, baseResilient map[string]struct{}
+	if s.FaultPlan() == nil {
+		// The study network is the fault-free network, and its probe
+		// table holds every site domain's verdict on it.
+		if err := s.Artifacts().ProbeCF(ctx); err != nil {
+			return nil, err
+		}
+		cf := s.Artifacts().CFDomains()
+		baseNaive = make(map[string]struct{})
+		for _, h := range fs.hosts {
+			if _, ok := cf[h]; ok {
+				baseNaive[h] = struct{}{}
+			}
+		}
+		baseResilient = baseNaive
+	} else {
+		n.SetFaultPlan(nil)
+		var err error
+		if baseNaive, baseResilient, err = probeBoth(ctx, n, fs.hosts); err != nil {
+			return nil, err
 		}
 	}
 
-	// The ranking-drift probe: one representative exact-rank list against
-	// one canonical metric on the evaluation day, re-filtered by each
-	// probed set. Uses only probe-independent artifacts, so it never races
-	// the shared study network.
+	res := fs.result()
+	for i, rate := range faultSenseRates {
+		naive, resilient := baseNaive, baseResilient
+		if p := passes[i]; rate > 0 {
+			naive = overlay(baseNaive, p.touched, p.naive)
+			resilient = overlay(baseResilient, p.touched, p.resilient)
+		}
+		res.Rows = append(res.Rows, fs.row(rate, naive, resilient))
+	}
+	return res, nil
+}
+
+// faultSense is the sweep's fixed frame: the probed universe, its
+// server-side truth, and the ranking-drift probe.
+type faultSense struct {
+	s     *core.Study
+	hosts []string
+	truth map[string]struct{}
+	// evalWith is the ranking-drift probe: one representative exact-rank
+	// list against one canonical metric on the evaluation day,
+	// re-filtered by a probed set. It uses only probe-independent
+	// artifacts, so it never races the shared study network.
+	evalWith func(map[string]struct{}) float64
+}
+
+func newFaultSense(s *core.Study) *faultSense {
+	w := s.World
+	nHosts := min(w.NumSites(), faultSenseMaxHosts)
+	fs := &faultSense{s: s, hosts: make([]string, nHosts), truth: make(map[string]struct{})}
+	for i := range fs.hosts {
+		site := w.Site(int32(i))
+		fs.hosts[i] = site.Domain
+		if site.Cloudflare() {
+			fs.truth[site.Domain] = struct{}{}
+		}
+	}
 	day := evalDay(s)
 	l := s.RankedLists()[0]
 	m := cfmetrics.AllMetrics()[0]
 	norm := s.Artifacts().Normalized(l, day)
 	cfRank := s.Artifacts().MetricRanking(day, m)
 	tab := s.Names()
-	evalWith := func(set map[string]struct{}) float64 {
+	fs.evalWith = func(set map[string]struct{}) float64 {
 		return core.EvalListVsMetric(norm, interned(tab, set), cfRank, s.EvalK(), l.Bucketed()).Jaccard
 	}
-
-	res := &FaultSenseResult{
-		Hosts:            nHosts,
-		TruthCF:          len(truth),
-		TruthEvalJaccard: evalWith(truth),
-	}
-	for _, rate := range faultSenseRates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row, err := faultSenseAtRate(ctx, s, hosts, truth, rate, evalWith)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return fs
 }
 
-// faultSenseAtRate probes hosts over a fresh network at one fault rate
-// with both prober disciplines.
-func faultSenseAtRate(ctx context.Context, s *core.Study, hosts []string,
-	truth map[string]struct{}, rate float64, evalWith func(map[string]struct{}) float64) (FaultSenseRow, error) {
+// network starts a fault-free network over the study's world. Switching
+// its plan between passes is safe: a pass ends when every probe has its
+// verdict, and a server handler still finishing a request its client gave
+// up on writes to a closed pipe.
+func (fs *faultSense) network() *httpsim.Network {
 	n := httpsim.NewNetwork()
-	n.AddWorld(s.World)
-	if rate > 0 {
-		n.SetFaultPlan(&faults.Plan{Seed: s.FaultSeed(), Rate: rate})
-	}
+	n.AddWorld(fs.s.World)
 	n.Start()
-	defer n.Close()
+	return n
+}
 
-	row := FaultSenseRow{Rate: rate}
-
-	naive := httpsim.NewProber(n.Client())
-	naive.Concurrency = 64
-	naive.SingleShot = true
-	naive.AttemptTimeout = 10 * time.Second
-	naiveCF := make(map[string]struct{})
-	for _, r := range naive.ProbeAll(ctx, hosts) {
-		if r.Cloudflare {
-			naiveCF[r.Host] = struct{}{}
-		}
+// result returns the sweep's header, with no rows yet.
+func (fs *faultSense) result() *FaultSenseResult {
+	return &FaultSenseResult{
+		Hosts:            len(fs.hosts),
+		TruthCF:          len(fs.truth),
+		TruthEvalJaccard: fs.evalWith(fs.truth),
 	}
+}
+
+// row scores both disciplines' probed CF sets at one rate.
+func (fs *faultSense) row(rate float64, naive, resilient map[string]struct{}) FaultSenseRow {
+	cell := func(set map[string]struct{}) FaultSenseCell {
+		c := scoreCFSet(set, fs.truth)
+		c.EvalJaccard = fs.evalWith(set)
+		return c
+	}
+	return FaultSenseRow{Rate: rate, Naive: cell(naive), Resilient: cell(resilient)}
+}
+
+// probeBoth probes hosts over n, under whatever plan it carries, with both
+// prober disciplines and returns their CF sets: the single-shot prober in
+// one pass, the hardened one over the core sweep's retry-on-next-day
+// budget.
+func probeBoth(ctx context.Context, n *httpsim.Network, hosts []string) (naive, resilient map[string]struct{}, err error) {
+	np := httpsim.NewProber(n.Client())
+	np.Concurrency = 64
+	np.SingleShot = true
+	np.AttemptTimeout = 10 * time.Second
+	naive = np.CloudflareSet(ctx, hosts)
 	if err := ctx.Err(); err != nil {
-		return row, err
+		return nil, nil, err
 	}
-	row.Naive = scoreCFSet(naiveCF, truth)
-	row.Naive.EvalJaccard = evalWith(naiveCF)
 
-	resilient := httpsim.NewProber(n.Client())
-	resilient.Concurrency = 64
-	resilient.AttemptTimeout = 10 * time.Second
-	resilient.BackoffBase = 200 * time.Microsecond
-	resilientCF := make(map[string]struct{})
+	rp := httpsim.NewProber(n.Client())
+	rp.Concurrency = 64
+	rp.AttemptTimeout = 10 * time.Second
+	rp.BackoffBase = 200 * time.Microsecond
+	resilient = make(map[string]struct{})
 	pending := hosts
 	for day := 0; day < faultSenseDays && len(pending) > 0; day++ {
 		if err := ctx.Err(); err != nil {
-			return row, err
+			return nil, nil, err
 		}
-		resilient.Day = day
-		resilient.ResetBreakers()
+		rp.Day = day
+		rp.ResetBreakers()
 		var unknown []string
-		for _, r := range resilient.ProbeAll(ctx, pending) {
+		for _, r := range rp.ProbeAll(ctx, pending) {
 			switch {
 			case r.Outcome == httpsim.OutcomeUnknown:
 				unknown = append(unknown, r.Host)
 			case r.Cloudflare:
-				resilientCF[r.Host] = struct{}{}
+				resilient[r.Host] = struct{}{}
 			}
 		}
 		pending = unknown
 	}
 	if err := ctx.Err(); err != nil {
-		return row, err
+		return nil, nil, err
 	}
-	row.Resilient = scoreCFSet(resilientCF, truth)
-	row.Resilient.EvalJaccard = evalWith(resilientCF)
-	return row, nil
+	return naive, resilient, nil
+}
+
+// overlay returns base with every touched host's verdict replaced by the
+// probed one: a touched host is in the result exactly when it is in
+// probed.
+func overlay(base map[string]struct{}, touched []string, probed map[string]struct{}) map[string]struct{} {
+	out := maps.Clone(base)
+	for _, h := range touched {
+		delete(out, h)
+	}
+	maps.Copy(out, probed)
+	return out
 }
 
 // scoreCFSet compares a probed CF set against the truth set.

@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"toplists/internal/core"
+	"toplists/internal/faults"
 )
 
 // TestFaultSenseRecovery pins the robustness acceptance numbers: under a
@@ -126,5 +128,91 @@ func TestRunConcurrentCanceled(t *testing.T) {
 	}
 	if ran {
 		t.Error("a runner executed under a pre-canceled context")
+	}
+}
+
+// fullReprobeFaultSense is the reference sweep: every host probed with
+// both disciplines at every rate, 0% included, each rate on a fresh
+// network.
+func fullReprobeFaultSense(ctx context.Context, s *core.Study) (*FaultSenseResult, error) {
+	fs := newFaultSense(s)
+	res := fs.result()
+	for _, rate := range faultSenseRates {
+		n := fs.network()
+		if rate > 0 {
+			n.SetFaultPlan(&faults.Plan{Seed: s.FaultSeed(), Rate: rate})
+		}
+		naive, resilient, err := probeBoth(ctx, n, fs.hosts)
+		n.Close()
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, fs.row(rate, naive, resilient))
+	}
+	return res, nil
+}
+
+// redirectOnlyTouched counts the www-canonical hosts whose first probe
+// attempt a rate's plan strikes only on the apex→www redirect hop: the
+// apex itself rolls no fault, the www host it redirects to does.
+func redirectOnlyTouched(s *core.Study, hosts []string, rate float64) int {
+	p := &faults.Plan{Seed: s.FaultSeed(), Rate: rate}
+	struck := func(h string) bool {
+		return p.Dial(h, faults.Key{}) != faults.None || p.Edge(h, faults.Key{}) != faults.None
+	}
+	count := 0
+	for i := range hosts {
+		site := s.World.Site(int32(i))
+		for sub, label := range site.Subdomains {
+			if label == "www" && site.SubWeights[sub] > site.SubWeights[0] &&
+				!struck(site.Domain) && struck(site.Hostname(sub)) {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// TestFaultSenseMatchesFullReprobe: probing only the hosts a fault
+// touches, with the 0% rows from the study's probe table (or a fresh clean
+// probe when the study itself runs under faults), gives the same result
+// and the same render bytes as re-probing every host at every rate.
+func TestFaultSenseMatchesFullReprobe(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []uint64{3, 17, 2022} {
+		for _, studyRate := range []float64{0, 0.05} {
+			s := core.NewStudy(core.Config{
+				Seed: seed, NumSites: faultSenseMaxHosts, NumClients: 300, Days: 2,
+				EvalMagIdx: 1, FaultRate: studyRate,
+			})
+			s.Run()
+			got, err := RunFaultSense(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fullReprobeFaultSense(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d, study fault rate %v: result differs from a full re-probe\n got %+v\nwant %+v",
+					seed, studyRate, got, want)
+			}
+			var g, w strings.Builder
+			if err := got.Render(&g); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Render(&w); err != nil {
+				t.Fatal(err)
+			}
+			if g.String() != w.String() {
+				t.Errorf("seed %d, study fault rate %v: render differs from a full re-probe", seed, studyRate)
+			}
+			fs := newFaultSense(s)
+			if n := redirectOnlyTouched(s, fs.hosts, faultSenseRates[len(faultSenseRates)-1]); n == 0 {
+				t.Errorf("seed %d: no host is touched only on its redirect hop; the sweep does not exercise it", seed)
+			}
+			s.Close()
+		}
 	}
 }

@@ -34,11 +34,12 @@ const (
 	DialReset
 	// DialTruncate connects, then cuts the response off mid-headers.
 	DialTruncate
-	// DialStall connects nothing and hangs for a fixed simulated latency
-	// (or until the attempt's context ends, whichever is sooner) before
-	// failing. The stall duration is bounded so a probe's classification
-	// never depends on how its per-attempt timeout races real scheduling
-	// delays — timing must not be able to alter outcomes.
+	// DialStall connects nothing and fails at once with ErrStalled, the
+	// same transient error a hung dial would give once it gave up (a dial
+	// whose context already ended reports the context's error). It takes
+	// no wall time, so a probe's classification never depends on how its
+	// per-attempt timeout races real scheduling delays — timing must not
+	// be able to alter outcomes.
 	DialStall
 	// Edge5xx answers with a 502 from in front of the edge, without the
 	// cf-ray header a healthy edge response would carry.

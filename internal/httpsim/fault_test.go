@@ -227,3 +227,51 @@ func TestBreakerShortCircuits(t *testing.T) {
 		t.Fatal("reset breaker did not half-open the circuit")
 	}
 }
+
+// TestFaultTouchesFirstAttempt: FaultTouches names exactly the hosts whose
+// first probe attempt a fault strikes, on the host or on the www host its
+// apex redirects to. An untouched host classifies on attempt 0 just as on
+// the fault-free network; a touched one needs another attempt.
+func TestFaultTouchesFirstAttempt(t *testing.T) {
+	ctx := context.Background()
+	w, n := testNetwork(t)
+	hosts := make([]string, w.NumSites())
+	for i := range hosts {
+		hosts[i] = w.Site(int32(i)).Domain
+	}
+	clean := resilientProber(n).ProbeAll(ctx, hosts)
+	plan := &faults.Plan{Seed: 99, Rate: 0.2}
+	n.SetFaultPlan(plan)
+	defer n.SetFaultPlan(nil)
+
+	struck := func(h string) bool {
+		return plan.Dial(h, faults.Key{}) != faults.None || plan.Edge(h, faults.Key{}) != faults.None
+	}
+	touched, viaRedirect := 0, 0
+	for i, r := range resilientProber(n).ProbeAll(ctx, hosts) {
+		h := hosts[i]
+		got := n.FaultTouches(h)
+		if got != (r.Attempts > 1) {
+			t.Errorf("%s: FaultTouches %v, but the probe took %d attempts", h, got, r.Attempts)
+		}
+		if !got && (r.Outcome != clean[i].Outcome || r.Backend != clean[i].Backend) {
+			t.Errorf("%s: untouched probe gave %v/%v, fault-free %v/%v", h, r.Outcome, r.Backend, clean[i].Outcome, clean[i].Backend)
+		}
+		if got {
+			touched++
+			if info, _ := n.lookup(h); info.redirectTo != "" && !struck(h) {
+				viaRedirect++
+			}
+		}
+	}
+	if touched == 0 || viaRedirect == 0 {
+		t.Fatalf("%d hosts touched, %d only on the redirect hop; the test exercises neither path", touched, viaRedirect)
+	}
+	if n.FaultTouches("unregistered.invalid") {
+		t.Error("an unregistered host is touched, though it fails before any fault applies")
+	}
+	n.SetFaultPlan(nil)
+	if n.FaultTouches(hosts[0]) {
+		t.Error("a host is touched with no plan installed")
+	}
+}

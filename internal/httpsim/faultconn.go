@@ -3,7 +3,6 @@ package httpsim
 import (
 	"io"
 	"net"
-	"time"
 
 	"toplists/internal/faults"
 )
@@ -12,12 +11,6 @@ import (
 // through before cutting off — enough for a partial status line, never a
 // complete set of headers.
 const truncateAfter = 24
-
-// stallLatency is how long a DialStall hangs before failing with
-// faults.ErrStalled. It is fixed and far below any attempt timeout, so a
-// stalled attempt always resolves to the same transient error on its own —
-// classification never rides on a timeout racing the scheduler.
-const stallLatency = 50 * time.Millisecond
 
 // resetConn models an RST mid-exchange: the first read tears the pipe down
 // and surfaces a reset. Closing the underlying conn unblocks the server

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"toplists/internal/domain"
 	"toplists/internal/faults"
@@ -256,6 +255,27 @@ func (n *Network) faultPlan() *faults.Plan {
 	return n.plan
 }
 
+// FaultTouches reports whether the installed fault plan strikes the first
+// attempt (day 0, attempt 0) of a probe of host: a Dial or Edge fault on
+// the host itself, or on the www host its apex redirects to, which the
+// client chases under the same attempt key. A probe whose first attempt
+// no fault touches classifies on that attempt, exactly as it would on a
+// fault-free network. Unregistered hosts fail before any fault applies.
+func (n *Network) FaultTouches(host string) bool {
+	p := n.faultPlan()
+	if !p.Enabled() {
+		return false
+	}
+	host = domain.Normalize(host)
+	info, ok := n.lookup(host)
+	if !ok {
+		return false
+	}
+	key := faults.Key{}
+	struck := func(h string) bool { return p.Dial(h, key) != faults.None || p.Edge(h, key) != faults.None }
+	return struck(host) || info.redirectTo != "" && struck(domain.Normalize(info.redirectTo))
+}
+
 // DialContext routes a dial to the edge (Cloudflare hosts) or the origin
 // farm. It implements the http.Transport DialContext signature.
 func (n *Network) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -272,17 +292,15 @@ func (n *Network) DialContext(ctx context.Context, network, addr string) (net.Co
 			case faults.DialRefused:
 				return nil, fmt.Errorf("dial %s: %w", host, faults.ErrRefused)
 			case faults.DialStall:
-				// Hang for a fixed simulated latency, then fail. The stall
-				// is bounded below any sane attempt timeout so classification
-				// never depends on how the timeout races the scheduler.
-				t := time.NewTimer(stallLatency)
-				defer t.Stop()
-				select {
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-t.C:
-					return nil, fmt.Errorf("dial %s: %w", host, faults.ErrStalled)
+				// A stall resolves at once to the same transient error it
+				// would give after any fixed delay: its outcome is decided
+				// by the plan, so waiting on a timer would buy nothing and
+				// could only let a timeout race the scheduler. A dial whose
+				// context already ended still reports that.
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
+				return nil, fmt.Errorf("dial %s: %w", host, faults.ErrStalled)
 			case faults.DialReset:
 				c, err := n.dialBackend(ctx, info)
 				if err != nil {

@@ -90,7 +90,9 @@ func (d *Decoder) fail(op string) {
 	}
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the minimal encoding Encoder
+// writes is accepted: an overlong one (a value padded with 0x80 groups)
+// would decode to the same state as different bytes.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
@@ -100,21 +102,22 @@ func (d *Decoder) Uvarint() uint64 {
 		d.fail("bad uvarint")
 		return 0
 	}
+	if n > 1 && d.b[d.off+n-1] == 0 {
+		d.fail("overlong uvarint")
+		return 0
+	}
 	d.off += n
 	return v
 }
 
-// Varint reads a signed varint.
+// Varint reads a signed (zig-zag) varint, minimal encodings only, as
+// Uvarint.
 func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+	u := d.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.off += n
 	return v
 }
 
@@ -199,9 +202,6 @@ func (d *Decoder) Len(minItemBytes int) int {
 	}
 	return int(n)
 }
-
-// Offset reports how many payload bytes have been consumed.
-func (d *Decoder) Offset() int { return d.off }
 
 // Err reports the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }

@@ -215,3 +215,48 @@ func TestDecoderImplausibleLength(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCorrupt", d.Err())
 	}
 }
+
+// TestDecoderRejectsOverlongVarints: the decoder reads back exactly the
+// minimal varints Encoder writes and rejects every longer spelling of the
+// same value, so no two byte strings decode to one state.
+func TestDecoderRejectsOverlongVarints(t *testing.T) {
+	// overlong pads v's minimal uvarint with pad extra zero groups.
+	overlong := func(v uint64, pad int) []byte {
+		b := binary.AppendUvarint(nil, v)
+		b[len(b)-1] |= 0x80
+		for i := 1; i < pad; i++ {
+			b = append(b, 0x80)
+		}
+		return append(b, 0x00)
+	}
+	for _, v := range []uint64{0, 1, 1 << 63} {
+		var e Encoder
+		e.Uvarint(v)
+		if d := NewDecoder(e.buf); d.Uvarint() != v || d.Finish() != nil {
+			t.Errorf("minimal uvarint %d does not round-trip: %v", v, d.Finish())
+		}
+		// Pad up to one group past the longest uvarint: 2^63's minimal
+		// spelling is already that long, so its one overlong spelling is
+		// the 11-byte one binary.Uvarint calls an overflow.
+		for pad := 1; len(e.buf)+pad <= binary.MaxVarintLen64+1; pad++ {
+			b := overlong(v, pad)
+			if got, n := binary.Uvarint(b); len(b) <= binary.MaxVarintLen64 && (got != v || n != len(b)) {
+				t.Fatalf("overlong(%d, %d) = %x is not a %d-byte spelling of %d", v, pad, b, len(b), v)
+			}
+			if d := NewDecoder(b); d.Uvarint() != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+				t.Errorf("Uvarint accepted %d spelled in %d bytes (%x)", v, len(b), b)
+			}
+			// The same bytes are the zig-zag spelling of a signed value.
+			if d := NewDecoder(b); d.Varint() != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+				t.Errorf("Varint accepted %x", b)
+			}
+		}
+	}
+	for _, v := range []int64{0, -1, 1, math.MinInt64, math.MaxInt64} {
+		var e Encoder
+		e.Varint(v)
+		if d := NewDecoder(e.buf); d.Varint() != v || d.Finish() != nil {
+			t.Errorf("minimal varint %d does not round-trip: %v", v, d.Finish())
+		}
+	}
+}
