@@ -31,7 +31,7 @@ benchvet:
 # goroutines on the same slot, sweep or day.
 race:
 	$(GO) test -race -count=10 -run 'TestTraceConcurrentSpans|TestProbeTableConcurrent|TestReadsDuringAdvance|TestReadsDoNotWaitForAdvance|TestCFSetReadsDoNotWaitForSweep' ./internal/obs ./internal/core
-	$(GO) test -race -shuffle=on ./internal/names ./internal/rank ./internal/sketch ./internal/cfmetrics ./internal/chrome ./internal/providers ./internal/traffic ./internal/core ./internal/experiments ./internal/httpsim ./internal/obs ./internal/snapshot ./internal/world ./internal/dnssim ./internal/sweep ./internal/perfgate ./cmd/toplistsd
+	$(GO) test -race -shuffle=on ./internal/names ./internal/rank ./internal/sketch ./internal/cfmetrics ./internal/chrome ./internal/providers ./internal/traffic ./internal/core ./internal/experiments ./internal/httpsim ./internal/obs ./internal/snapshot ./internal/world ./internal/sweep ./internal/perfgate ./cmd/toplistsd
 
 # faultcheck is the fault-injection determinism oracle: a fixed seed at a
 # nonzero fault rate must render the full evaluation byte-identically
@@ -83,7 +83,10 @@ vantagecheck:
 
 # Short fuzz smoke of the rank-bucketing, interner, fault-plan, probe-key,
 # origin-parser, toplistsd query-parameter, sketch and distinct-counter
-# decoder targets (seeds + 10s each).
+# decoder targets (seeds + 10s each). FuzzServerQuery minimizes each new
+# corpus entry for at most 1s: at the default 60s a 10s smoke can spend its
+# whole budget minimizing at 0 execs/s. A failing input is still reported,
+# only less minimized.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScaledMagnitudes -fuzztime=10s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzBucketer -fuzztime=10s ./internal/rank
@@ -91,7 +94,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeKey -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzParseOrigin -fuzztime=10s ./internal/domain
-	$(GO) test -run=^$$ -fuzz=FuzzServerQuery -fuzztime=10s ./cmd/toplistsd
+	$(GO) test -run=^$$ -fuzz=FuzzServerQuery -fuzztime=10s -fuzzminimizetime=1s ./cmd/toplistsd
 	$(GO) test -run=^$$ -fuzz=FuzzBucketIndex -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz=FuzzCountMin -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceSaving -fuzztime=10s ./internal/sketch

@@ -36,15 +36,14 @@ const (
 	compTranco   = "tranco"
 	compTrexa    = "trexa"
 	// compEdges holds the extra (vantage, backend) pipelines' cross-day
-	// state, compDNS the per-vantage resolver pool. Both are always
-	// written: under the default 1-vantage, 1-backend config they carry
-	// only the grid shape, so the container layout stays uniform.
+	// state. It is always written: under the default 1-vantage, 1-backend
+	// config it carries only the grid shape, so the container layout stays
+	// uniform.
 	compEdges = "edges"
-	compDNS   = "dnsv"
 )
 
 const (
-	metaSnapVersion   = 3
+	metaSnapVersion   = 4
 	engineSnapVersion = 1
 	obsSnapVersion    = 1
 )
@@ -84,7 +83,6 @@ func (s *Study) snapshotLocked(w io.Writer) error {
 	sw.Component(compTranco, s.Tranco.Snapshot)
 	sw.Component(compTrexa, s.Trexa.Snapshot)
 	sw.Component(compEdges, s.Edges.Snapshot)
-	sw.Component(compDNS, s.DNS.Snapshot)
 	return sw.Close()
 }
 
@@ -334,9 +332,6 @@ func restoreInto(s *Study, sr *snapshot.Reader) error {
 		return err
 	}
 	if err := reader(compEdges, s.Edges.Restore); err != nil {
-		return err
-	}
-	if err := reader(compDNS, s.DNS.Restore); err != nil {
 		return err
 	}
 	if err := sr.End(); err != nil {

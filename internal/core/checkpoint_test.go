@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"toplists/internal/cfmetrics"
-	"toplists/internal/dnssim"
 	"toplists/internal/sketch"
 	"toplists/internal/snapshot"
 )
@@ -228,28 +227,13 @@ func TestSnapshotRefusesAbortedStudy(t *testing.T) {
 }
 
 // TestSnapshotRoundTripMultiVantage extends the byte-identity property to
-// the multi-edge state: a 3-vantage, 2-backend study — with per-vantage
-// resolver caches deliberately warmed unevenly — must Snapshot -> Resume
-// -> Snapshot byte-identically at every day boundary, and the resumed
-// extra pipelines must publish the same day lists.
+// the multi-edge state: a 3-vantage, 2-backend study must Snapshot ->
+// Resume -> Snapshot byte-identically at every day boundary, and the
+// resumed extra pipelines must publish the same day lists.
 func TestSnapshotRoundTripMultiVantage(t *testing.T) {
 	cfg := checkpointCfg(31, 2, false)
 	cfg.Vantages = 3
 	cfg.Backends = 2
-
-	warmDNS := func(s *Study, n int) {
-		for vi, name := range s.DNS.Names() {
-			r, ok := s.DNS.Resolver(name)
-			if !ok {
-				t.Fatalf("no resolver for vantage %q", name)
-			}
-			for i := 0; i < n*(vi+1); i++ {
-				site := s.World.Site(int32(i % s.World.NumSites()))
-				r.Resolve(uint32(i), site.Hostname(0), dnssim.TypeA)
-				r.Advance(60)
-			}
-		}
-	}
 
 	s := NewStudy(cfg)
 	defer s.Close()
@@ -257,7 +241,6 @@ func TestSnapshotRoundTripMultiVantage(t *testing.T) {
 		t.Fatalf("grid is %dx%d, want 3x2", len(s.Vantages()), len(s.Backends()))
 	}
 	for k := 0; ; k++ {
-		warmDNS(s, 5)
 		a := snap(t, s)
 		r, err := Resume(bytes.NewReader(a), ResumeOptions{Workers: 1})
 		if err != nil {
@@ -351,7 +334,7 @@ func checkpointComponents(t *testing.T, cfg Config) map[string][]byte {
 	}
 	out := make(map[string][]byte)
 	for _, name := range []string{compMeta, compNames, compEngine, compObs, compPipeline, compChrome,
-		compAlexa, compUmbrella, compSecrank, compTranco, compTrexa, compEdges, compDNS} {
+		compAlexa, compUmbrella, compSecrank, compTranco, compTrexa, compEdges} {
 		if out[name], err = sr.Component(name); err != nil {
 			t.Fatal(err)
 		}

@@ -38,8 +38,8 @@ func TestResumePartialFailureReleasesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
-	if len(frames) != 13 {
-		t.Fatalf("checkpoint has %d frames, expected 13 (update this test for new components)", len(frames))
+	if len(frames) != 12 {
+		t.Fatalf("checkpoint has %d frames, expected 12 (update this test for new components)", len(frames))
 	}
 
 	reg := obs.NewRegistry()

@@ -14,7 +14,6 @@ import (
 
 	"toplists/internal/cfmetrics"
 	"toplists/internal/chrome"
-	"toplists/internal/dnssim"
 	"toplists/internal/faults"
 	"toplists/internal/httpsim"
 	"toplists/internal/linkgraph"
@@ -181,7 +180,6 @@ type Study struct {
 	Engine    *traffic.Engine
 	Pipeline  *cfmetrics.Pipeline
 	Edges     *cfmetrics.PipelineSet
-	DNS       *dnssim.Pool
 	Telemetry *chrome.Telemetry
 	Graph     *linkgraph.Graph
 	PSL       *psl.List
@@ -330,13 +328,6 @@ func NewStudy(cfg Config) *Study {
 	// and the event path is unchanged.
 	s.Edges = cfmetrics.NewPipelineSet(w, combos, cfmetrics.MetricCombos())
 	s.Pipeline = s.Edges.Primary()
-	// Each vantage runs its own caching resolver over the shared authority,
-	// so DNS-side cache warmth diverges per vantage.
-	vantageNames := make([]string, len(w.Vantages()))
-	for i, v := range w.Vantages() {
-		vantageNames[i] = v.Name
-	}
-	s.DNS = dnssim.NewPool(dnssim.NewWorldAuthority(w), vantageNames, nil)
 	s.Telemetry = chrome.NewTelemetry(w)
 	s.Alexa = providers.NewAlexa(w)
 	s.Umbrella = providers.NewUmbrella(w, l)

@@ -1,17 +1,16 @@
 // Package faults is the simulation's failure model: a seed-deterministic
-// plan of transport and DNS faults injected into the virtual network.
+// plan of transport and edge faults injected into the virtual network.
 //
 // The real probing step the paper relies on (Section 4.3's HEAD-probe for
 // the cf-ray header) runs over an internet full of transient refusals,
-// resets, stalls, flaky 5xxs, and lame DNS delegations; a probe lost to any
-// of them silently reclassifies a site as "not Cloudflare-served" and skews
-// every downstream comparison. This package reproduces that weather inside
-// the simulation without giving up reproducibility: every fault decision is
-// a pure function of (plan seed, fault class, host, virtual day, attempt
-// index) — never the wall clock, never a shared RNG, never a mutable
-// counter in the request path — so the same seed yields byte-identical runs
-// at any concurrency, and a zero rate is exactly the perfect-weather
-// network the golden tests pin.
+// resets, stalls and flaky 5xxs; a probe lost to any of them silently
+// reclassifies a site as "not Cloudflare-served" and skews every downstream
+// comparison. This package reproduces that weather inside the simulation
+// without giving up reproducibility: every fault decision is a pure function
+// of (plan seed, fault class, host, virtual day, attempt index) — never the
+// wall clock, never a shared RNG, never a mutable counter in the request
+// path — so the same seed yields byte-identical runs at any concurrency, and
+// a zero rate is exactly the perfect-weather network the golden tests pin.
 package faults
 
 import (
@@ -25,7 +24,7 @@ import (
 type Kind uint8
 
 // The fault kinds. The Dial* kinds surface in the dialer, Edge5xx in the
-// HTTP proxy middleware, and the DNS* kinds in the DNS server wrapper.
+// HTTP proxy middleware.
 const (
 	None Kind = iota
 	// DialRefused fails the dial immediately (connection refused).
@@ -44,14 +43,6 @@ const (
 	// Edge5xx answers with a 502 from in front of the edge, without the
 	// cf-ray header a healthy edge response would carry.
 	Edge5xx
-	// DNSServFail answers SERVFAIL.
-	DNSServFail
-	// DNSNXDomain answers NXDOMAIN for a name that exists.
-	DNSNXDomain
-	// DNSTruncate answers with the TC bit set and no records.
-	DNSTruncate
-	// DNSDrop swallows the datagram.
-	DNSDrop
 )
 
 // String implements fmt.Stringer.
@@ -69,14 +60,6 @@ func (k Kind) String() string {
 		return "dial-stall"
 	case Edge5xx:
 		return "edge-5xx"
-	case DNSServFail:
-		return "dns-servfail"
-	case DNSNXDomain:
-		return "dns-nxdomain"
-	case DNSTruncate:
-		return "dns-truncate"
-	case DNSDrop:
-		return "dns-drop"
 	default:
 		return "kind(" + strconv.Itoa(int(k)) + ")"
 	}
@@ -146,8 +129,7 @@ type Plan struct {
 	Seed uint64
 	// Rate is the per-attempt fault probability in [0, 1]. An attempt
 	// rolls once per channel: dial-level faults take ~3/4 of the budget,
-	// edge-response faults the remaining ~1/4, and DNS faults the full
-	// rate on the (separate) DNS wire path.
+	// edge-response faults the remaining ~1/4.
 	Rate float64
 }
 
@@ -183,19 +165,6 @@ func (p *Plan) Edge(host string, k Key) Kind {
 		return Edge5xx
 	}
 	return None
-}
-
-// DNS decides the wire fault for one query attempt of a name. The four DNS
-// kinds split the rate evenly.
-func (p *Plan) DNS(name string, k Key) Kind {
-	if !p.Enabled() {
-		return None
-	}
-	x := p.roll("dns", name, k)
-	if frac(x) >= p.Rate {
-		return None
-	}
-	return [...]Kind{DNSServFail, DNSNXDomain, DNSTruncate, DNSDrop}[x&3]
 }
 
 // roll hashes (seed, class, name, day, attempt) into one well-mixed word:

@@ -22,9 +22,6 @@ func TestDecisionsArePure(t *testing.T) {
 				if a.Edge(host, k) != b.Edge(host, k) {
 					t.Fatalf("Edge(%s, %+v) differs between identical plans", host, k)
 				}
-				if a.DNS(host, k) != b.DNS(host, k) {
-					t.Fatalf("DNS(%s, %+v) differs between identical plans", host, k)
-				}
 			}
 		}
 	}
@@ -41,7 +38,7 @@ func TestRateZeroAndNilInjectNothing(t *testing.T) {
 			if p.Enabled() {
 				t.Fatal("disabled plan reports Enabled")
 			}
-			if p.Dial("h.example", k) != None || p.Edge("h.example", k) != None || p.DNS("h.example", k) != None {
+			if p.Dial("h.example", k) != None || p.Edge("h.example", k) != None {
 				t.Fatal("disabled plan injected a fault")
 			}
 		}
@@ -53,7 +50,7 @@ func TestRateZeroAndNilInjectNothing(t *testing.T) {
 func TestFaultRatesApproximateBudget(t *testing.T) {
 	p := &Plan{Seed: 99, Rate: 0.10}
 	const n = 40_000
-	var dial, edge, dns int
+	var dial, edge int
 	kinds := make(map[Kind]int)
 	for i := 0; i < n; i++ {
 		host := "host-" + itoa(i) + ".example"
@@ -65,10 +62,6 @@ func TestFaultRatesApproximateBudget(t *testing.T) {
 		if p.Edge(host, k) != None {
 			edge++
 		}
-		if d := p.DNS(host, k); d != None {
-			dns++
-			kinds[d]++
-		}
 	}
 	check := func(name string, got int, want float64) {
 		t.Helper()
@@ -79,15 +72,9 @@ func TestFaultRatesApproximateBudget(t *testing.T) {
 	}
 	check("dial", dial, dialShare*p.Rate)
 	check("edge", edge, edgeShare*p.Rate)
-	check("dns", dns, p.Rate)
 	for _, k := range []Kind{DialRefused, DialReset, DialTruncate, DialStall} {
 		if kinds[k] == 0 {
 			t.Errorf("dial kind %v never drawn in %d rolls", k, n)
-		}
-	}
-	for _, k := range []Kind{DNSServFail, DNSNXDomain, DNSTruncate, DNSDrop} {
-		if kinds[k] == 0 {
-			t.Errorf("dns kind %v never drawn in %d rolls", k, n)
 		}
 	}
 }

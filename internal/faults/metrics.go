@@ -3,7 +3,7 @@ package faults
 import "toplists/internal/obs"
 
 // numKinds is the count of declared fault kinds (None included, unused).
-const numKinds = int(DNSDrop) + 1
+const numKinds = int(Edge5xx) + 1
 
 // Metrics counts injected faults by class. Because every injection is a
 // pure function of (plan seed, class, host, day, attempt) and the attempt
@@ -19,7 +19,7 @@ type Metrics struct {
 // on r. Safe on a nil registry (returns a usable no-op).
 func NewMetrics(r *obs.Registry) *Metrics {
 	m := &Metrics{}
-	for k := DialRefused; k <= DNSDrop; k++ {
+	for k := DialRefused; k <= Edge5xx; k++ {
 		m.injected[k] = r.Counter("faults.injected." + k.String())
 	}
 	return m

@@ -148,7 +148,6 @@ func generateInfra(src *simrand.Source, n int) []InfraName {
 		out[i] = InfraName{
 			FQDN:        fqdn,
 			QueryWeight: w * s.LogNormal(0, 0.5),
-			TTL:         []int32{30, 60, 300}[s.Intn(3)],
 		}
 	}
 	return out

@@ -204,7 +204,6 @@ type InfraName struct {
 	FQDN string
 	// QueryWeight is the relative per-device DNS query rate.
 	QueryWeight float64
-	TTL         int32
 }
 
 // World is the generated universe.

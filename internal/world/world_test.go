@@ -273,7 +273,7 @@ func TestInfraNames(t *testing.T) {
 			t.Fatalf("duplicate infra name %s", inf.FQDN)
 		}
 		seen[inf.FQDN] = true
-		if inf.QueryWeight <= 0 || inf.TTL <= 0 {
+		if inf.QueryWeight <= 0 {
 			t.Fatalf("bad infra %+v", inf)
 		}
 		if _, clash := w.ByDomain(inf.FQDN); clash {
