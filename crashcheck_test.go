@@ -315,6 +315,14 @@ func chaosRun(t *testing.T, bin string, seed uint64, ckptDir string) map[string]
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// The final day is published before the study finishes it (the CrUX
+	// derivation, which interns the origin names, runs after), so seeing
+	// day crashDays does not mean the month is done. An advance waits for
+	// the lifecycle lock the ticker holds through that work, and its 409
+	// marks the same finished state the baseline's advance response does.
+	if code, b, err := d.post("/v1/advance?days=1"); err != nil || code != http.StatusConflict {
+		t.Fatalf("advance past the finished month: code %d err %v\n%s", code, err, b)
+	}
 	killLogf(t, "seed=%d survivor finished day %d/%d", seed, d.day(), crashDays)
 	return collect(t, d, probes(t, d))
 }

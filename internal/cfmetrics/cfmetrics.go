@@ -144,13 +144,6 @@ func (m Metric) Combo() Combo {
 	}
 }
 
-// RequestBased reports whether the metric counts requests (as opposed to
-// requestors); Section 5.1 observes perfect agreement among request-based
-// metrics when rank-ordering top lists.
-func (m Metric) RequestBased() bool {
-	return m.Combo().Agg == AggCount
-}
-
 // AllMetrics returns the seven canonical metrics in order.
 func AllMetrics() []Metric {
 	out := make([]Metric, NumMetrics)

@@ -53,12 +53,12 @@ func TestRequestBased(t *testing.T) {
 	wantTrue := []Metric{MAllRequests, MTLSHandshakes, MRootRequests, MTopBrowserRequests}
 	wantFalse := []Metric{MUniqueIP, MUniqueIPRoot, MUniqueIPBrowsers}
 	for _, m := range wantTrue {
-		if !m.RequestBased() {
+		if m.Combo().Agg != AggCount {
 			t.Errorf("%v should be request-based", m)
 		}
 	}
 	for _, m := range wantFalse {
-		if m.RequestBased() {
+		if m.Combo().Agg == AggCount {
 			t.Errorf("%v should not be request-based", m)
 		}
 	}

@@ -51,16 +51,7 @@ func NewPipelineSet(w *world.World, primaryCombos, extraCombos []Combo) *Pipelin
 // Cloudflare-style backend.
 func (ps *PipelineSet) Primary() *Pipeline { return ps.pipes[0][0] }
 
-// Vantages returns the configured vantages in grid order.
-func (ps *PipelineSet) Vantages() []world.Vantage { return ps.vantages }
-
-// Backends returns the deployed backends in grid order.
-func (ps *PipelineSet) Backends() []world.Backend { return ps.backends }
-
-// At returns the pipeline at a grid position.
-func (ps *PipelineSet) At(vi, bi int) *Pipeline { return ps.pipes[vi][bi] }
-
-// Archives returns every pipeline's Archive, indexed like At.
+// Archives returns every pipeline's Archive, indexed by grid position.
 func (ps *PipelineSet) Archives() [][]Archive {
 	out := make([][]Archive, len(ps.pipes))
 	for vi, row := range ps.pipes {
@@ -91,15 +82,6 @@ func (ps *PipelineSet) Index(vantage, backend string) (vi, bi int, ok bool) {
 		return 0, 0, false
 	}
 	return vi, bi, true
-}
-
-// Lookup resolves a pipeline by vantage name and backend slug.
-func (ps *PipelineSet) Lookup(vantage, backend string) (*Pipeline, bool) {
-	vi, bi, ok := ps.Index(vantage, backend)
-	if !ok {
-		return nil, false
-	}
-	return ps.pipes[vi][bi], true
 }
 
 // Extras returns every non-primary pipeline in canonical vantage-major

@@ -36,13 +36,13 @@ func runPipelineSet(t testing.TB, vantages, backends, days int) (*world.World, *
 func TestPipelineSetShape(t *testing.T) {
 	w := multiEdgeWorld(t, 3, 2)
 	ps := NewPipelineSet(w, AllCombos(), MetricCombos())
-	if len(ps.Vantages()) != 3 || len(ps.Backends()) != 2 {
-		t.Fatalf("grid is %dx%d, want 3x2", len(ps.Vantages()), len(ps.Backends()))
+	if len(ps.pipes) != 3 || len(ps.pipes[0]) != 2 {
+		t.Fatalf("grid is %dx%d, want 3x2", len(ps.pipes), len(ps.pipes[0]))
 	}
 	if got := len(ps.Extras()); got != 5 {
 		t.Fatalf("extras = %d, want 5", got)
 	}
-	if ps.Primary() != ps.At(0, 0) {
+	if ps.Primary() != ps.pipes[0][0] {
 		t.Fatal("primary is not grid (0,0)")
 	}
 	if ps.Primary().Backend() != world.BackendCdnflare {
@@ -51,14 +51,18 @@ func TestPipelineSetShape(t *testing.T) {
 	if ps.Primary().Vantage().Name != "global" {
 		t.Fatalf("primary vantage = %q", ps.Primary().Vantage().Name)
 	}
-	if p, ok := ps.Lookup("eu-central", "edgecast"); !ok || p.Vantage().Name != "eu-central" || p.Backend() != world.BackendEdgecast {
-		t.Fatalf("Lookup(eu-central, edgecast) = %v, %v", p, ok)
+	vi, bi, ok := ps.Index("eu-central", "edgecast")
+	if !ok {
+		t.Fatal("Index(eu-central, edgecast) not found")
 	}
-	if _, ok := ps.Lookup("nope", "edgecast"); ok {
-		t.Fatal("Lookup accepted unknown vantage")
+	if p := ps.pipes[vi][bi]; p.Vantage().Name != "eu-central" || p.Backend() != world.BackendEdgecast {
+		t.Fatalf("Index(eu-central, edgecast) = (%d, %d): %s/%v", vi, bi, p.Vantage().Name, p.Backend())
 	}
-	if _, ok := ps.Lookup("global", "akamai"); ok {
-		t.Fatal("Lookup accepted undeployed backend")
+	if _, _, ok := ps.Index("nope", "edgecast"); ok {
+		t.Fatal("Index accepted unknown vantage")
+	}
+	if _, _, ok := ps.Index("global", "akamai"); ok {
+		t.Fatal("Index accepted undeployed backend")
 	}
 }
 
@@ -94,9 +98,9 @@ func TestPipelineSetPrimaryMatchesSingleEdge(t *testing.T) {
 func TestPipelineSetVantagesDiverge(t *testing.T) {
 	_, ps := runPipelineSet(t, 3, 2, 1)
 	c := MAllRequests.Combo()
-	global := ps.At(0, 0)
-	for vi := 1; vi < len(ps.Vantages()); vi++ {
-		regional := ps.At(vi, 0)
+	global := ps.Primary()
+	for vi := 1; vi < len(ps.pipes); vi++ {
+		regional := ps.pipes[vi][0]
 		if v := regional.Vantage(); v.Transparent() {
 			t.Fatalf("vantage %q should not be transparent", regional.Vantage().Name)
 		}

@@ -33,7 +33,7 @@ func TestSketchCountMetricsExactUnderCapacity(t *testing.T) {
 	sk := runSketchPipeline(t, MetricCombos(), days)
 
 	for _, m := range AllMetrics() {
-		if !m.RequestBased() {
+		if m.Combo().Agg != AggCount {
 			continue
 		}
 		for d := 0; d < days; d++ {
@@ -61,7 +61,7 @@ func TestSketchUniqueMetricsAgree(t *testing.T) {
 	sk := runSketchPipeline(t, MetricCombos(), days)
 
 	for _, m := range AllMetrics() {
-		if m.RequestBased() {
+		if m.Combo().Agg == AggCount {
 			continue
 		}
 		for d := 0; d < days; d++ {

@@ -200,49 +200,5 @@ func (t *Telemetry) DeriveCrux(minVisitors int, bk rank.Bucketer) *CruxList {
 // dataset; used for truncation to magnitude sets).
 func (c *CruxList) OriginRanking() *rank.Ranking { return c.ranking }
 
-// DeriveCruxCountry computes a per-country CrUX dataset, mirroring the real
-// dataset's country-specific tables: origins ranked by the month's
-// completed page loads from that country's clients (both platforms),
-// subject to the same privacy threshold.
-func (t *Telemetry) DeriveCruxCountry(country world.Country, minVisitors int, bk rank.Bucketer) *CruxList {
-	// Per-country completed loads are tracked per (site, platform) in the
-	// telemetry cells; the per-origin split is global, so the per-country
-	// list distributes the site's completed loads across its origins using
-	// the global origin shares.
-	siteTotals := make(map[int32]float64)
-	for key, v := range t.originCompleted {
-		siteTotals[key.site] += v
-	}
-	scored := make([]rank.Scored, 0, len(t.originCompleted))
-	for key, v := range t.originCompleted {
-		vk := int64(country)<<32 | int64(key.site)
-		d, ok := t.countryVisitors[vk]
-		if !ok || int(d.Count()) < minVisitors {
-			continue
-		}
-		countryLoads := t.cells[cellKey(country, world.Windows, CompletedPageLoads)][key.site] +
-			t.cells[cellKey(country, world.Android, CompletedPageLoads)][key.site]
-		if countryLoads == 0 {
-			continue
-		}
-		share := v / siteTotals[key.site]
-		site := t.w.Site(key.site)
-		scheme := "https://"
-		if !site.HTTPS {
-			scheme = "http://"
-		}
-		scored = append(scored, rank.Scored{
-			Name:  scheme + site.Hostname(int(key.sub)),
-			Score: countryLoads * share,
-		})
-	}
-	r := rank.FromScoresIn(t.w.Interner(), scored, rank.TieHashed)
-	entries := make([]CruxEntry, r.Len())
-	for i := 1; i <= r.Len(); i++ {
-		entries[i-1] = CruxEntry{Origin: r.At(i), Bucket: bk.BucketOf(i)}
-	}
-	return &CruxList{Entries: entries, ranking: r}
-}
-
 // Len returns the number of published origins.
 func (c *CruxList) Len() int { return len(c.Entries) }

@@ -174,63 +174,6 @@ func TestMetricStrings(t *testing.T) {
 	}
 }
 
-func TestDeriveCruxCountry(t *testing.T) {
-	w, tel := runTelemetry(t)
-	bk := rank.ScaledMagnitudes(w.NumSites())
-	global := tel.DeriveCrux(1, bk)
-	for _, c := range []world.Country{world.US, world.CN, world.JP} {
-		local := tel.DeriveCruxCountry(c, 1, bk)
-		if local.Len() == 0 {
-			t.Fatalf("%v: empty country CrUX", c)
-		}
-		if local.Len() >= global.Len() {
-			t.Errorf("%v list (%d) not smaller than global (%d)", c, local.Len(), global.Len())
-		}
-		// Every local origin must exist globally.
-		for _, e := range local.Entries {
-			if !global.OriginRanking().Contains(e.Origin) {
-				t.Fatalf("%v origin %q missing from global list", c, e.Origin)
-			}
-		}
-	}
-	// The CN list should be dominated by CN-homed sites; the US list not.
-	cnShare := func(c world.Country) float64 {
-		l := tel.DeriveCruxCountry(c, 1, bk)
-		cn, total := 0, 0
-		limit := l.Len()
-		if limit > 100 {
-			limit = 100
-		}
-		for _, e := range l.Entries[:limit] {
-			host := strings.TrimPrefix(strings.TrimPrefix(e.Origin, "https://"), "http://")
-			for i := 0; i < w.NumSites(); i++ {
-				s := w.Site(int32(i))
-				if s.Domain == host || strings.HasSuffix(host, "."+s.Domain) {
-					total++
-					if s.Home == world.CN {
-						cn++
-					}
-					break
-				}
-			}
-		}
-		if total == 0 {
-			return 0
-		}
-		return float64(cn) / float64(total)
-	}
-	if cnShare(world.CN) <= cnShare(world.US) {
-		t.Errorf("CN-list CN-share %.2f not above US-list CN-share %.2f",
-			cnShare(world.CN), cnShare(world.US))
-	}
-}
-
-// TestTelemetryMatchesAcrossWorkers runs the collector over engines of 1
-// and 3 workers, in exact and sketch mode, and requires byte-identical
-// checkpoint payloads: the exact dwell log replays in serial event order,
-// so even the float time-on-site sums must not depend on the shard split.
-// The 3-worker runs also give the race detector concurrent shard states to
-// watch.
 func TestTelemetryMatchesAcrossWorkers(t *testing.T) {
 	run := func(workers int, sketchOn bool) []byte {
 		w := world.Generate(world.Config{Seed: 35, NumSites: 1500})

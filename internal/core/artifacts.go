@@ -30,13 +30,11 @@ import (
 type Artifacts struct {
 	s *Study
 
-	// nz is the study-wide PSL normalizer: one apex-resolution cache over
-	// the world's interned name table, shared by every normalization.
-	nz *rank.Normalizer
-
-	// norms memoizes PSL-normalized (list, day) snapshots. It is shared
-	// with the Tranco/Trexa amalgam construction, so normalizations done
-	// while building the study are already warm at evaluation time.
+	// norms memoizes PSL-normalized (list, day) snapshots over one
+	// study-wide normalizer, whose apex-resolution cache over the world's
+	// interned name table every normalization shares. It is shared with the
+	// Tranco/Trexa amalgam construction, so normalizations done while
+	// building the study are already warm at evaluation time.
 	norms *providers.NormMemo
 
 	mu      sync.Mutex
@@ -108,11 +106,9 @@ type (
 )
 
 func newArtifacts(s *Study) *Artifacts {
-	nz := rank.NewNormalizer(s.World.Interner(), s.PSL)
 	a := &Artifacts{
 		s:           s,
-		nz:          nz,
-		norms:       providers.NewInternedNormMemo(nz),
+		norms:       providers.NewInternedNormMemo(rank.NewNormalizer(s.World.Interner(), s.PSL)),
 		derived:     make(map[any]*rankingEntry),
 		cmNorm:      obs.NewCacheMetrics(s.obs, "artifacts.norm"),
 		cmCombo:     obs.NewCacheMetrics(s.obs, "artifacts.combo"),
@@ -123,10 +119,6 @@ func newArtifacts(s *Study) *Artifacts {
 	a.norms.SetMetrics(a.cmNorm)
 	return a
 }
-
-// Normalizer returns the study-wide PSL normalizer; its per-interned-name
-// apex cache is shared by every normalization in the study.
-func (a *Artifacts) Normalizer() *rank.Normalizer { return a.nz }
 
 // memoized returns the ranking for key, building it at most once even
 // under concurrent requesters. cm (nil-safe) records the request against
@@ -180,12 +172,6 @@ func (a *Artifacts) invalidateMonthly() {
 func (a *Artifacts) Normalized(l providers.List, day int) *rank.Ranking {
 	r, _ := a.norms.Normalized(l, day)
 	return r
-}
-
-// NormalizedStats returns the normalized snapshot together with its
-// deviation statistics (the Table 2 numbers).
-func (a *Artifacts) NormalizedStats(l providers.List, day int) (*rank.Ranking, rank.NormalizeStats) {
-	return a.norms.Normalized(l, day)
 }
 
 // ComboRanking returns the day's ranked domain list for one Cloudflare

@@ -67,7 +67,7 @@ func TestMustRunPanics(t *testing.T) {
 
 func TestCFDomainsMatchWorld(t *testing.T) {
 	s := getStudy(t)
-	probed := s.CFDomains()
+	probed := s.Artifacts().CFDomains()
 	truth := s.World.CloudflareSet()
 	if len(probed) != len(truth) {
 		t.Fatalf("probe found %d, world has %d", len(probed), len(truth))

@@ -12,9 +12,10 @@ import (
 )
 
 // studyFingerprint digests everything the study publishes — the seven
-// provider lists for every day, the daily ranked lists of all 21 Cloudflare
-// filter-aggregation combos, and the CrUX origin/bucket dataset — into one
-// hash. Two runs agree iff every published artifact is byte-identical.
+// provider lists for every day (CrUX's origin order among them; its
+// buckets are a function of that order) and the daily ranked lists of all
+// 21 Cloudflare filter-aggregation combos — into one hash. Two runs agree
+// iff every published artifact is byte-identical.
 func studyFingerprint(s *Study) uint64 {
 	h := fnv.New64a()
 	write := func(parts ...string) {
@@ -40,11 +41,6 @@ func studyFingerprint(s *Study) uint64 {
 				write(fmt.Sprint(id))
 			}
 		}
-	}
-
-	write("crux")
-	for _, e := range s.Crux.Entries() {
-		write(e.Origin, fmt.Sprint(e.Bucket))
 	}
 	return h.Sum64()
 }

@@ -31,7 +31,7 @@ func TestProbeCFCanceledNotMemoized(t *testing.T) {
 	if err := s.Artifacts().ProbeCF(context.Background()); err != nil {
 		t.Fatalf("retry after canceled sweep: %v", err)
 	}
-	probed := s.CFDomains()
+	probed := s.Artifacts().CFDomains()
 	want := s.World.CloudflareSet()
 	if len(probed) != len(want) {
 		t.Fatalf("probed %d CF domains after canceled first sweep, want %d", len(probed), len(want))
@@ -209,7 +209,7 @@ func TestProbeTableOrderIndependent(t *testing.T) {
 		if mixCF, err = s.ProbeHostsContext(ctx, probeMix(s)); err != nil {
 			t.Fatal(err)
 		}
-		cf = s.CFDomains()
+		cf = s.Artifacts().CFDomains()
 		b, err := s.Metrics().Snapshot().Deterministic()
 		if err != nil {
 			t.Fatal(err)
@@ -269,7 +269,7 @@ func TestProbeTableConcurrent(t *testing.T) {
 	if cfErr != nil || mixErr != nil {
 		t.Fatalf("ProbeCF: %v, ProbeHostsContext: %v", cfErr, mixErr)
 	}
-	sameSet(t, "CF domains", s.CFDomains(), ref.CFDomains())
+	sameSet(t, "CF domains", s.Artifacts().CFDomains(), ref.Artifacts().CFDomains())
 	sameSet(t, "Table 1 hosts", mix, wantMix)
 	if got, want := probeCount(s), probeCount(ref); got != want {
 		t.Errorf("probe.probes = %d concurrently, %d serially", got, want)

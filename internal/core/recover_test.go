@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"toplists/internal/obs"
@@ -38,6 +39,15 @@ func checkpointedDir(t *testing.T, cfg Config, days int) *snapshot.Dir {
 func TestRecoverResumesNewestGeneration(t *testing.T) {
 	cfg := checkpointCfg(41, 5, false)
 	dir := checkpointedDir(t, cfg, 3)
+	// A LATEST pointer left by an older build, naming generation 1, must
+	// not steer recovery away from the newest generation file.
+	newest, err := dir.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(filepath.Dir(newest.Path), "LATEST"), []byte("study.snap.000001\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
 
 	reg := obs.NewRegistry()
 	rec, err := Recover(dir, ResumeOptions{Workers: 1, Obs: reg}, nil)

@@ -180,11 +180,11 @@ func metaFrame(t *testing.T, b []byte) snapshot.Frame {
 	return frames[0]
 }
 
-// withNegativeSites rewrites the meta frame's NumSites to -1, encoded
-// minimally as the codec requires, and rebuilds the container around the
-// shorter payload with valid checksums, so only semantic validation can
-// catch it. NumSites follows the version and seed uvarints.
-func withNegativeSites(t *testing.T, b []byte) []byte {
+// withSites rewrites the meta frame's NumSites to n, encoded minimally as
+// the codec requires, and rebuilds the container around the resized
+// payload with valid checksums, so only semantic validation can catch it.
+// NumSites follows the version and seed uvarints.
+func withSites(t *testing.T, b []byte, n int64) []byte {
 	t.Helper()
 	frames, err := snapshot.Scan(b)
 	if err != nil {
@@ -204,7 +204,7 @@ func withNegativeSites(t *testing.T, b []byte) []byte {
 				off += n
 			}
 			_, width := binary.Varint(payload[off:])
-			patched := binary.AppendVarint(bytes.Clone(payload[:off]), -1)
+			patched := binary.AppendVarint(bytes.Clone(payload[:off]), n)
 			payload = append(patched, payload[off+width:]...)
 		}
 		if err := sw.Component(f.Name, func(w io.Writer) error {
@@ -222,9 +222,9 @@ func withNegativeSites(t *testing.T, b []byte) []byte {
 
 // TestResumeRejectsInvalidMeta: a checksum-valid meta frame whose config
 // fails Validate makes Resume return an error instead of panicking inside
-// NewStudy, and the recovery supervisor skips that generation for the
-// previous one. A meta frame of the previous payload version is rejected
-// as version skew.
+// NewStudy or allocating for a universe it was never sized for, and the
+// recovery supervisor skips that generation for the previous one. A meta
+// frame of the previous payload version is rejected as version skew.
 func TestResumeRejectsInvalidMeta(t *testing.T) {
 	dir := checkpointedDir(t, checkpointCfg(67, 4, false), 2)
 	newest, err := dir.Latest()
@@ -236,14 +236,32 @@ func TestResumeRejectsInvalidMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := withNegativeSites(t, good)
-	r, err := Resume(bytes.NewReader(bad), ResumeOptions{Workers: 1})
-	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "sites -1 negative") {
-		t.Fatalf("Resume of NumSites = -1 meta: %v, want ErrCorrupt naming the field", err)
+	for _, tc := range []struct {
+		sites   int64
+		wantErr string
+	}{
+		{-1, "sites -1 negative"},
+		{1 << 40, "sites 1099511627776 above the cap"},
+	} {
+		bad := withSites(t, good, tc.sites)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Resume(bytes.NewReader(bad), ResumeOptions{Workers: 1})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("Resume of NumSites = %d meta: %v, want ErrCorrupt naming the field", tc.sites, err)
+		}
+		if r != nil {
+			t.Fatal("Resume returned a study alongside an error")
+		}
+		// Rejection decodes the meta frame and builds nothing: the heap
+		// grows by less than the file's size plus a fixed slack (about
+		// 5 KB were measured against a 26 KB file).
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(bad))+256<<10 {
+			t.Fatalf("Resume of NumSites = %d meta allocated %d bytes for a %d-byte checkpoint", tc.sites, grew, len(bad))
+		}
 	}
-	if r != nil {
-		t.Fatal("Resume returned a study alongside an error")
-	}
+	bad := withSites(t, good, -1)
 
 	old := bytes.Clone(good)
 	meta := metaFrame(t, old)

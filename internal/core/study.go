@@ -114,6 +114,25 @@ const (
 	spearmanMagIdx = 3
 )
 
+// Upper bounds on the config fields that size a study's memory, so that a
+// flag or a checksum-valid checkpoint meta frame cannot make NewStudy
+// allocate without bound. Each admits every CLI default and the sketch
+// scale run (1M clients x 100k sites x 28 days) with room to spare. Heap
+// figures were measured on linux/amd64 with Go 1.24.
+const (
+	// maxSites caps NumSites. A built study holds about 1.8 KiB of heap
+	// per site (world, link graph, sinks), so the cap admits about 1.9 GB.
+	maxSites = 1 << 20
+	// maxClients caps NumClients. A client holds about 70 B when built and
+	// about 290 B once its first day has run, so the cap admits about
+	// 2.4 GB.
+	maxClients = 1 << 23
+	// maxDays caps Days at a year of daily lists. Days size nothing at
+	// construction; each advanced day's archived lists keep about 34 B per
+	// site, so a full year at the 50k-site CLI default keeps about 620 MB.
+	maxDays = 366
+)
+
 // Validate reports the first invalid field as an error naming it. Zero
 // fields are valid (they take defaults); out-of-range values are rejected
 // here rather than silently clamped or left to panic downstream. Every
@@ -125,10 +144,16 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumSites < 0:
 		return fmt.Errorf("core: sites %d negative", c.NumSites)
+	case c.NumSites > maxSites:
+		return fmt.Errorf("core: sites %d above the cap %d", c.NumSites, maxSites)
 	case c.NumClients < 0:
 		return fmt.Errorf("core: clients %d negative", c.NumClients)
+	case c.NumClients > maxClients:
+		return fmt.Errorf("core: clients %d above the cap %d", c.NumClients, maxClients)
 	case c.Days < 0:
 		return fmt.Errorf("core: days %d negative", c.Days)
+	case c.Days > maxDays:
+		return fmt.Errorf("core: days %d above the cap %d", c.Days, maxDays)
 	case c.Workers < 0:
 		return fmt.Errorf("core: workers %d negative", c.Workers)
 	case c.EvalMagIdx < 0 || c.EvalMagIdx >= mags:
@@ -603,14 +628,6 @@ func (s *Study) Names() *names.Table { return s.World.Interner() }
 // for benchmarks and tests that compare cold against warm evaluation; it
 // must not be called concurrently with experiment readers.
 func (s *Study) ResetArtifacts() { s.artifacts = newArtifacts(s) }
-
-// CFDomains returns the set of Cloudflare-served registrable domains,
-// established the way the paper does it: a HEAD probe of every domain over
-// the (virtual) network, keeping those that answer with a cf-ray header.
-// The probe runs once per study; see Artifacts.CFDomains.
-func (s *Study) CFDomains() map[string]struct{} {
-	return s.artifacts.CFDomains()
-}
 
 // FaultSeed returns the seed keying the study's fault plan: a stream
 // derived from the study seed, so two studies with equal seeds see

@@ -24,6 +24,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative sites", Config{NumSites: -1}, "sites -1 negative"},
 		{"negative clients", Config{NumClients: -5}, "clients -5 negative"},
 		{"negative days", Config{Days: -2}, "days -2 negative"},
+		{"sizes at their caps", Config{NumSites: maxSites, NumClients: maxClients, Days: maxDays}, ""},
+		{"sites past the cap", Config{NumSites: maxSites + 1}, "sites 1048577 above the cap 1048576"},
+		{"clients past the cap", Config{NumClients: maxClients + 1}, "clients 8388609 above the cap 8388608"},
+		{"days past the cap", Config{Days: maxDays + 1}, "days 367 above the cap 366"},
 		{"negative workers", Config{Workers: -1}, "workers -1 negative"},
 		{"fault rate above one", Config{FaultRate: 1.5}, "fault rate 1.5 outside [0, 1]"},
 		{"negative fault rate", Config{FaultRate: -0.5}, "fault rate -0.5 outside [0, 1]"},

@@ -32,31 +32,6 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	valid := []string{
-		"example.com", "a.b.c.d.e", "xn--bcher-kva.de", "a-b.com",
-		"123.com", "_dmarc.example.com", "x.co",
-	}
-	for _, v := range valid {
-		if err := Validate(v); err != nil {
-			t.Errorf("Validate(%q) = %v, want nil", v, err)
-		}
-	}
-	invalid := []string{
-		"", "ex ample.com", "-leading.com", "trailing-.com",
-		"double..dot", ".leadingdot", "trailingdot.",
-		"UPPER.com", // Validate expects pre-normalized input
-		strings.Repeat("a", 64) + ".com",
-		strings.Repeat("abcd.", 51) + "com", // > 253 octets
-		"bad!char.com",
-	}
-	for _, v := range invalid {
-		if err := Validate(v); err == nil {
-			t.Errorf("Validate(%q) = nil, want error", v)
-		}
-	}
-}
-
 func TestLabelsRoundTrip(t *testing.T) {
 	err := quick.Check(func(parts []uint8) bool {
 		if len(parts) == 0 || len(parts) > 10 {
@@ -68,89 +43,9 @@ func TestLabelsRoundTrip(t *testing.T) {
 		}
 		name := strings.Join(labels, ".")
 		got := Labels(name)
-		if len(got) != len(labels) {
-			return false
-		}
-		if CountLabels(name) != len(labels) {
-			return false
-		}
-		return true
+		return len(got) == len(labels)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParentOf(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"a.b.c", "b.c"},
-		{"b.c", "c"},
-		{"c", ""},
-		{"", ""},
-	}
-	for _, c := range cases {
-		if got := ParentOf(c.in); got != c.want {
-			t.Errorf("ParentOf(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseOrigin(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Origin
-	}{
-		{"https://google.com", Origin{"https", "google.com", 0}},
-		{"http://Example.COM", Origin{"http", "example.com", 0}},
-		{"https://shop.example.co.uk", Origin{"https", "shop.example.co.uk", 0}},
-		{"http://example.com:8080", Origin{"http", "example.com", 8080}},
-		{"https://example.com:443", Origin{"https", "example.com", 0}},
-		{"http://example.com:80", Origin{"http", "example.com", 0}},
-	}
-	for _, c := range cases {
-		got, err := ParseOrigin(c.in)
-		if err != nil {
-			t.Errorf("ParseOrigin(%q) error: %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseOrigin(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseOriginErrors(t *testing.T) {
-	bad := []string{
-		"", "google.com", "ftp://google.com", "https://",
-		"https://google.com/path", "https://google.com?q=1",
-		"https://user@google.com", "https://google.com:0",
-		"https://google.com:999999", "https://google.com:8x",
-		"https://goo gle.com", "https://google.com:",
-		"https://google.com#frag",
-	}
-	for _, b := range bad {
-		if _, err := ParseOrigin(b); err == nil {
-			t.Errorf("ParseOrigin(%q) succeeded, want error", b)
-		}
-	}
-}
-
-func TestOriginStringRoundTrip(t *testing.T) {
-	for _, s := range []string{
-		"https://google.com",
-		"http://example.com:8080",
-		"http://a.b.c.d",
-	} {
-		o, err := ParseOrigin(s)
-		if err != nil {
-			t.Fatalf("ParseOrigin(%q): %v", s, err)
-		}
-		if o.String() != s {
-			t.Errorf("round trip %q -> %q", s, o.String())
-		}
-		o2, err := ParseOrigin(o.String())
-		if err != nil || o2 != o {
-			t.Errorf("reparse of %q failed: %v %+v", o.String(), err, o2)
-		}
 	}
 }

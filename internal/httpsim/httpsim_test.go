@@ -40,7 +40,7 @@ func TestEdgeAddsCfRay(t *testing.T) {
 	if cf == nil {
 		t.Skip("no cloudflare site at this scale")
 	}
-	resp, err := client.Get(cf.Origin() + "/")
+	resp, err := client.Get("https://" + cf.Domain + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestOriginHasNoCfRay(t *testing.T) {
 	w, n := testNetwork(t)
 	client := n.Client()
 	direct := findSite(w, false)
-	resp, err := client.Get(direct.Origin() + "/")
+	resp, err := client.Get("https://" + direct.Domain + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestNotFoundPath(t *testing.T) {
 	w, n := testNetwork(t)
 	client := n.Client()
 	s := w.Site(0)
-	resp, err := client.Get(s.Origin() + "/definitely/missing")
+	resp, err := client.Get("https://" + s.Domain + "/definitely/missing")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCfRayUniquePerResponse(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		resp, err := client.Head(cf.Origin() + "/")
+		resp, err := client.Head("https://" + cf.Domain + "/")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,14 +158,6 @@ func NewNetwork() *Network {
 	return &Network{hosts: make(map[string]hostInfo)}
 }
 
-// AddHost registers a hostname fronted by the given backend (BackendNone
-// for an origin-served host).
-func (n *Network) AddHost(host string, backend world.Backend, https bool) {
-	n.mu.Lock()
-	n.hosts[domain.Normalize(host)] = hostInfo{backend: backend, https: https}
-	n.mu.Unlock()
-}
-
 // AddWorld registers every hostname of every site in the world, each
 // fronted by the site's serving backend (its primary CDN when deployed).
 // Sites whose www hostname carries more traffic than the apex serve the

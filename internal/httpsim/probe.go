@@ -359,21 +359,3 @@ func (p *Prober) CloudflareSet(ctx context.Context, hosts []string) map[string]s
 	}
 	return out
 }
-
-// BackendSets probes hosts and returns, per deployed backend, the subset
-// whose responses carried that backend's signature.
-func (p *Prober) BackendSets(ctx context.Context, hosts []string) map[world.Backend]map[string]struct{} {
-	out := make(map[world.Backend]map[string]struct{})
-	for _, r := range p.ProbeAll(ctx, hosts) {
-		if r.Backend == world.BackendNone {
-			continue
-		}
-		set, ok := out[r.Backend]
-		if !ok {
-			set = make(map[string]struct{})
-			out[r.Backend] = set
-		}
-		set[r.Host] = struct{}{}
-	}
-	return out
-}

@@ -29,7 +29,7 @@ func TestWWWCanonicalRedirect(t *testing.T) {
 	}
 	client := n.Client()
 	// Default client follows the redirect; the final URL is the www host.
-	resp, err := client.Get(s.Origin() + "/")
+	resp, err := client.Get("https://" + s.Domain + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestWWWCanonicalRedirect(t *testing.T) {
 	raw.CheckRedirect = func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}
-	resp, err = raw.Get(s.Origin() + "/")
+	resp, err = raw.Get("https://" + s.Domain + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDeepPathsStill404OnCanonicalSites(t *testing.T) {
 	if s == nil {
 		t.Skip("no www-canonical site at this scale")
 	}
-	resp, err := n.Client().Get(s.Origin() + "/missing/page")
+	resp, err := n.Client().Get("https://" + s.Domain + "/missing/page")
 	if err != nil {
 		t.Fatal(err)
 	}

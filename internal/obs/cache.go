@@ -65,18 +65,10 @@ func (m *CacheMetrics) Wait() {
 	}
 }
 
-// ObserveBuild records one entry's build time — and, when a tracer is
-// attached, a "<prefix>.build" span on the run timeline starting at
-// start. Safe on nil.
-func (m *CacheMetrics) ObserveBuild(d time.Duration) {
-	if m != nil {
-		m.Build.Observe(d)
-	}
-}
-
-// ObserveBuildSpan is ObserveBuild plus the timeline span; callers that
-// know the build's start time use this so the trace shows when the build
-// ran, not just how long it took. Safe on nil.
+// ObserveBuildSpan records one entry's build time and, when a tracer is
+// attached, a "<prefix>.build" span on the run timeline starting at start,
+// so the trace shows when the build ran, not just how long it took. Safe
+// on nil.
 func (m *CacheMetrics) ObserveBuildSpan(start time.Time, d time.Duration) {
 	if m == nil {
 		return

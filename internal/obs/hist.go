@@ -84,14 +84,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // quantile returns the approximate q-quantile (0..1) as the upper bound of
 // the bucket where the cumulative count crosses q.
 func (h *Histogram) quantile(q float64) int64 {
@@ -152,14 +144,6 @@ func (p *Phase) Record(d time.Duration) {
 // quantile returns the approximate q-quantile of recorded spans.
 func (p *Phase) quantile(q float64) int64 {
 	return bucketQuantile(p.count.Load(), &p.buckets, q)
-}
-
-// Total returns the accumulated wall time (0 on nil).
-func (p *Phase) Total() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return time.Duration(p.totalNS.Load())
 }
 
 // Start opens a span on the phase. Safe on nil.

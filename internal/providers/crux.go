@@ -98,9 +98,6 @@ func (c *Crux) normalize(apexOf func(host string) (string, bool)) (*rank.Ranking
 	return rank.FromScoredIDs(tab, scored, rank.TieHashed), stats
 }
 
-// Entries exposes the published (origin, bucket) rows.
-func (c *Crux) Entries() []chrome.CruxEntry { return c.list.Entries }
-
 func hostOfOrigin(origin string) string {
 	s := strings.TrimPrefix(origin, "https://")
 	s = strings.TrimPrefix(s, "http://")

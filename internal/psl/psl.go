@@ -30,14 +30,6 @@ const (
 	Exception
 )
 
-// Rule is one parsed PSL rule.
-type Rule struct {
-	// Labels holds the rule's labels in reverse order (TLD first), with the
-	// wildcard or exception marker stripped.
-	Labels []string
-	Kind   RuleKind
-}
-
 // node is a trie node keyed by reversed labels.
 type node struct {
 	children map[string]*node

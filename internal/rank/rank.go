@@ -22,9 +22,9 @@ import (
 )
 
 // sharedTab is the interner behind the string-only constructors (New,
-// MustNew, FromScores, ReadCSV). Rankings inside a study are built against
-// the study world's table instead; the shared table exists so that
-// free-standing rankings (tests, CSV fixtures, examples) keep working
+// MustNew, FromScores). Rankings inside a study are built against the
+// study world's table instead; the shared table exists so that
+// free-standing rankings (tests, examples) keep working
 // unchanged and still compare by ID among themselves.
 var sharedTab = names.NewTable()
 
@@ -162,10 +162,6 @@ func (r *Ranking) At(i int) string { return r.tab.Lookup(r.ids[i-1]) }
 
 // IDAt returns the interned ID at 1-based rank i.
 func (r *Ranking) IDAt(i int) names.ID { return r.ids[i-1] }
-
-// IDs returns the underlying rank-ordered IDs. Callers must not modify the
-// returned slice.
-func (r *Ranking) IDs() []names.ID { return r.ids }
 
 // Names returns the rank-ordered names, materialized once on first call.
 // Callers must not modify the returned slice.

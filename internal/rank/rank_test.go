@@ -1,7 +1,6 @@
 package rank
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -260,45 +259,5 @@ func TestNormalizePSLMinRankKept(t *testing.T) {
 	norm, _ := r.NormalizePSL(psl.Default())
 	if rk, _ := norm.RankOf("example.com"); rk != 1 {
 		t.Errorf("example.com rank = %d, want 1 (min rank)", rk)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	r := MustNew([]string{"google.com", "youtube.com", "example.co.uk"})
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Names(), r.Names()) {
-		t.Errorf("round trip = %v", got.Names())
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	bad := []string{
-		"1,a.com\n3,b.com\n", // gap in sequence
-		"0,a.com\n",          // rank 0
-		"x,a.com\n",          // non-numeric
-		"1,a.com,extra\n",    // too many fields
-		"1,\n",               // empty name
-	}
-	for _, in := range bad {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadCSV(%q) succeeded, want error", in)
-		}
-	}
-}
-
-func TestCSVEmpty(t *testing.T) {
-	r, err := ReadCSV(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 0 {
-		t.Error("empty CSV should give empty ranking")
 	}
 }

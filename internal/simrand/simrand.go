@@ -142,15 +142,6 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the elements of a slice-like collection in place using the
-// provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // NormFloat64 returns a standard normal variate (polar Marsaglia method).
 func (s *Source) NormFloat64() float64 {
 	for {
@@ -161,16 +152,6 @@ func (s *Source) NormFloat64() float64 {
 			continue
 		}
 		return u * sqrt(-2*ln(q)/q)
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -ln(u)
-		}
 	}
 }
 
@@ -240,20 +221,4 @@ func (s *Source) Binomial(n int, p float64) int {
 		return n
 	}
 	return v
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials. p must be in (0, 1].
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("simrand: Geometric with p <= 0")
-	}
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return int(ln(u) / ln(1-p))
 }

@@ -217,21 +217,6 @@ func TestBinomialEdges(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(99)
-	p := 0.25
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(s.Geometric(p))
-	}
-	mean := sum / n
-	want := (1 - p) / p
-	if math.Abs(mean-want) > 0.1 {
-		t.Errorf("Geometric(%v) mean = %v, want ~%v", p, mean, want)
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	s := New(4)
 	const n = 100000
@@ -244,18 +229,5 @@ func TestLogNormalMedian(t *testing.T) {
 	frac := float64(vals) / n
 	if math.Abs(frac-0.5) > 0.01 {
 		t.Errorf("log-normal median fraction = %v, want ~0.5", frac)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(5)
-	v := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-	seen := map[int]bool{}
-	for _, x := range v {
-		seen[x] = true
-	}
-	if len(seen) != 8 {
-		t.Fatal("shuffle lost elements")
 	}
 }

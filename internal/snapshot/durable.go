@@ -13,21 +13,20 @@ import (
 )
 
 // Durable checkpoint storage: a Dir owns a directory of generation-numbered
-// snapshot files plus a LATEST pointer, and guarantees that a crash at any
-// byte of any write — power loss included — never destroys the last good
-// generation. The write-ahead ordering is:
+// snapshot files and guarantees that a crash at any byte of any write —
+// power loss included — never destroys the last good generation. The
+// write-ahead ordering is:
 //
 //  1. the snapshot streams into a hidden temp file in the same directory;
 //  2. the temp file is fsynced, so its bytes are on stable storage;
 //  3. the temp file is renamed to its generation name (atomic on POSIX);
-//  4. the parent directory is fsynced, so the rename itself is durable;
-//  5. only then is LATEST updated, by the same temp+fsync+rename+fsync
-//     sequence.
+//  4. the parent directory is fsynced, so the rename itself is durable.
 //
-// A crash before (3) leaves only a temp file, which readers ignore. A crash
-// between (3) and (5) leaves a fully durable generation that LATEST does not
-// name yet — which is why recovery scans generation files newest-first
-// instead of trusting LATEST (the pointer exists for humans and tooling).
+// A crash before (3) leaves only a temp file, which readers ignore; after
+// (3) the generation is visible, and after (4) it survives power loss.
+// Recovery scans generation files newest-first, so no pointer file names
+// the newest one. A LATEST file left by an older build is a foreign file:
+// scans ignore it, Write and Prune leave it alone, and it may be deleted.
 // Torn or bit-rotted generations are caught by the container's per-frame
 // CRCs (see Verify) and recovery falls back to the next older one.
 
@@ -39,10 +38,6 @@ const genPrefix = "study.snap."
 // wider than this still round-trip (parsing is not width-limited); padding
 // only keeps lexical and numeric order aligned for the common case.
 const genDigits = 6
-
-// LatestName is the pointer file naming the newest fully written
-// generation. It is advisory: recovery scans generations directly.
-const LatestName = "LATEST"
 
 // tmpPrefix hides in-progress writes from generation scans.
 const tmpPrefix = ".tmp."
@@ -86,16 +81,13 @@ func OpenDir(path string) (*Dir, error) {
 	return &Dir{path: path}, nil
 }
 
-// Path returns the directory path.
-func (d *Dir) Path() string { return d.path }
-
 // genName formats a generation file name.
 func genName(seq uint64) string {
 	return genPrefix + fmt.Sprintf("%0*d", genDigits, seq)
 }
 
 // parseGen extracts the sequence from a generation file name, reporting
-// ok=false for temp files, LATEST, and foreign names.
+// ok=false for temp files and foreign names.
 func parseGen(name string) (uint64, bool) {
 	if !strings.HasPrefix(name, genPrefix) {
 		return 0, false
@@ -112,7 +104,7 @@ func parseGen(name string) (uint64, bool) {
 }
 
 // Generations lists the directory's completed generations in ascending
-// sequence order. Temp files, LATEST, and foreign files are ignored.
+// sequence order. Temp files and foreign files are ignored.
 func (d *Dir) Generations() ([]Gen, error) {
 	entries, err := os.ReadDir(d.path)
 	if err != nil {
@@ -132,9 +124,7 @@ func (d *Dir) Generations() ([]Gen, error) {
 }
 
 // Latest returns the newest completed generation by sequence number, or
-// ErrNoGenerations. It deliberately does not read LATEST: a crash between
-// a generation's rename and the pointer update leaves the pointer one
-// behind, and the newest durable file wins.
+// ErrNoGenerations.
 func (d *Dir) Latest() (Gen, error) {
 	gens, err := d.Generations()
 	if err != nil {
@@ -194,57 +184,7 @@ func (d *Dir) Write(fn func(w io.Writer) error) (Gen, int64, error) {
 	if err := syncDir(d.path); err != nil {
 		return Gen{}, 0, err
 	}
-	// LATEST last: it must never name a generation that is not yet
-	// durable. Its own write follows the same temp+fsync+rename sequence;
-	// a failure here leaves a valid, scannable generation behind, so it is
-	// reported but the generation is still returned.
-	if err := d.writeLatest(gen); err != nil {
-		return gen, n, err
-	}
 	return gen, n, nil
-}
-
-// writeLatest atomically updates the LATEST pointer file to name gen.
-func (d *Dir) writeLatest(gen Gen) error {
-	tmp, err := os.CreateTemp(d.path, tmpPrefix+LatestName+".*")
-	if err != nil {
-		return fmt.Errorf("snapshot: create LATEST temp: %w", err)
-	}
-	tmpPath := tmp.Name()
-	if _, err := tmp.WriteString(gen.Name() + "\n"); err != nil {
-		tmp.Close()        //nolint:errcheck // already failing
-		os.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("snapshot: write LATEST: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()        //nolint:errcheck // already failing
-		os.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("snapshot: fsync LATEST: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("snapshot: close LATEST: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(d.path, LatestName)); err != nil {
-		os.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("snapshot: rename %s: %w", tmpPath, err)
-	}
-	return syncDir(d.path)
-}
-
-// ReadLatest returns the generation named by the LATEST pointer file, for
-// tooling; recovery should use Generations/Latest instead.
-func (d *Dir) ReadLatest() (Gen, error) {
-	b, err := os.ReadFile(filepath.Join(d.path, LatestName))
-	if err != nil {
-		return Gen{}, err
-	}
-	name := strings.TrimSpace(string(b))
-	seq, ok := parseGen(name)
-	if !ok {
-		return Gen{}, fmt.Errorf("%w: LATEST names %q", ErrCorrupt, name)
-	}
-	return Gen{Seq: seq, Path: filepath.Join(d.path, name)}, nil
 }
 
 // Prune removes the oldest generations beyond the newest retain (and any

@@ -64,12 +64,16 @@ func TestDirWriteRotatesGenerations(t *testing.T) {
 	if latest.Seq != 3 {
 		t.Fatalf("Latest: %+v", latest)
 	}
-	ptr, err := d.ReadLatest()
+	// The directory holds the generations and nothing else: no pointer
+	// file, no temp litter.
+	entries, err := os.ReadDir(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ptr.Seq != 3 {
-		t.Fatalf("ReadLatest: %+v", ptr)
+	for _, e := range entries {
+		if _, ok := parseGen(e.Name()); !ok {
+			t.Fatalf("checkpoint dir holds %q besides its generations", e.Name())
+		}
 	}
 	// Each generation is an independently valid container.
 	for _, g := range gens {
@@ -84,8 +88,9 @@ func TestDirWriteRotatesGenerations(t *testing.T) {
 }
 
 func TestDirLatestPrefersNewestFileOverPointer(t *testing.T) {
-	// A crash between a generation's rename and the LATEST update leaves
-	// the pointer one behind; the newest durable file must win.
+	// Older builds kept a LATEST pointer file beside the generations. One
+	// left behind, naming an older generation, must not steer the scan,
+	// and Write and Prune must leave it as they found it.
 	d, err := OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +101,9 @@ func TestDirLatestPrefersNewestFileOverPointer(t *testing.T) {
 	if _, _, err := d.Write(writeContainer([]byte("two"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(d.Path(), LatestName), []byte(genName(1)+"\n"), 0o666); err != nil {
+	ptr := filepath.Join(d.path, "LATEST")
+	stale := []byte(genName(1) + "\n")
+	if err := os.WriteFile(ptr, stale, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	latest, err := d.Latest()
@@ -105,6 +112,18 @@ func TestDirLatestPrefersNewestFileOverPointer(t *testing.T) {
 	}
 	if latest.Seq != 2 {
 		t.Fatalf("Latest trusted the stale pointer: %+v", latest)
+	}
+	if gens, err := d.Generations(); err != nil || len(gens) != 2 {
+		t.Fatalf("Generations = %+v, %v; want the two generation files", gens, err)
+	}
+	if gen, _, err := d.Write(writeContainer([]byte("three"))); err != nil || gen.Seq != 3 {
+		t.Fatalf("Write after stale pointer = %+v, %v; want seq 3", gen, err)
+	}
+	if _, err := d.Prune(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(ptr); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("stale LATEST after Write and Prune = %q, %v; want %q untouched", got, err, stale)
 	}
 }
 
@@ -118,10 +137,6 @@ func TestDirWriteFailureLeavesPreviousGenerationUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, err := os.Stat(gen.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptrBefore, err := os.ReadFile(filepath.Join(d.Path(), LatestName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +166,6 @@ func TestDirWriteFailureLeavesPreviousGenerationUntouched(t *testing.T) {
 		t.Fatalf("previous generation touched by failed write: %v/%d -> %v/%d",
 			before.ModTime(), before.Size(), after.ModTime(), after.Size())
 	}
-	if ptrAfter, _ := os.ReadFile(filepath.Join(d.Path(), LatestName)); !bytes.Equal(ptrAfter, ptrBefore) {
-		t.Fatalf("LATEST changed after failed write: %q -> %q", ptrBefore, ptrAfter)
-	}
 	gens, err := d.Generations()
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +174,7 @@ func TestDirWriteFailureLeavesPreviousGenerationUntouched(t *testing.T) {
 		t.Fatalf("failed write left extra generations: %+v", gens)
 	}
 	// No temp litter either: the failed write cleans up after itself.
-	entries, err := os.ReadDir(d.Path())
+	entries, err := os.ReadDir(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +196,7 @@ func TestDirPrune(t *testing.T) {
 		}
 	}
 	// A stale temp file (a crash mid-write) is swept too.
-	stale := filepath.Join(d.Path(), tmpPrefix+"study.snap.000099.123")
+	stale := filepath.Join(d.path, tmpPrefix+"study.snap.000099.123")
 	if err := os.WriteFile(stale, []byte("torn"), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +236,9 @@ func TestDirIgnoresForeignAndTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		tmpPrefix + "study.snap.000002.77", "study.snap.", "study.snap.xyz", "notes.txt", LatestName,
+		tmpPrefix + "study.snap.000002.77", "study.snap.", "study.snap.xyz", "notes.txt", "LATEST",
 	} {
-		if err := os.WriteFile(filepath.Join(d.Path(), name), []byte("x"), 0o666); err != nil {
+		if err := os.WriteFile(filepath.Join(d.path, name), []byte("x"), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}

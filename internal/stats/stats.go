@@ -185,21 +185,3 @@ func Bonferroni(p float64, m int) float64 {
 	}
 	return adj
 }
-
-// Interpretation buckets a correlation magnitude per the guidance quoted in
-// Section 4.4 of the paper.
-func Interpretation(r float64) string {
-	a := math.Abs(r)
-	switch {
-	case a < 0.10:
-		return "negligible"
-	case a < 0.40:
-		return "weak"
-	case a < 0.70:
-		return "moderate"
-	case a < 0.90:
-		return "strong"
-	default:
-		return "very strong"
-	}
-}

@@ -253,21 +253,6 @@ func TestBonferroni(t *testing.T) {
 	}
 }
 
-func TestInterpretation(t *testing.T) {
-	cases := []struct {
-		r    float64
-		want string
-	}{
-		{0.05, "negligible"}, {-0.2, "weak"}, {0.5, "moderate"},
-		{0.8, "strong"}, {0.95, "very strong"},
-	}
-	for _, c := range cases {
-		if got := Interpretation(c.r); got != c.want {
-			t.Errorf("Interpretation(%v) = %q, want %q", c.r, got, c.want)
-		}
-	}
-}
-
 func TestKendallTauKnownValues(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if tau, err := KendallTau(xs, xs); err != nil || !almostEq(tau, 1, 1e-12) {

@@ -24,7 +24,6 @@ const (
 	Edge
 	Samsung
 	Other
-	NumBrowsers = 6
 )
 
 // TopFive reports whether the browser is one of the five most popular.

@@ -66,16 +66,6 @@ func (b Backend) Banner() string {
 	}
 }
 
-// BackendByName resolves a backend slug (as produced by String).
-func BackendByName(name string) (Backend, bool) {
-	for b := BackendCdnflare; b <= BackendAkamai; b++ {
-		if b.String() == name {
-			return b, true
-		}
-	}
-	return BackendNone, false
-}
-
 // DeployedBackends returns the first n deployable backends in deployment
 // order (cdnflare first). n is clamped to [1, NumBackends].
 func DeployedBackends(n int) []Backend {

@@ -171,10 +171,6 @@ type Site struct {
 // Cloudflare-style edge — the population the paper's cf-ray filter targets.
 func (s *Site) Cloudflare() bool { return s.CDN == BackendCdnflare }
 
-// MultiCDN reports whether the site serves through a secondary CDN besides
-// its primary ("rare" per Section 4.5).
-func (s *Site) MultiCDN() bool { return s.AltCDN != BackendNone }
-
 // OnBackend reports whether the site serves any traffic through backend b
 // (as primary or secondary).
 func (s *Site) OnBackend(b Backend) bool {
@@ -187,14 +183,6 @@ func (s *Site) Hostname(i int) string {
 		return s.Domain
 	}
 	return s.Subdomains[i] + "." + s.Domain
-}
-
-// Origin returns the site's canonical web origin.
-func (s *Site) Origin() string {
-	if s.HTTPS {
-		return "https://" + s.Domain
-	}
-	return "http://" + s.Domain
 }
 
 // InfraName is a non-website FQDN with heavy DNS query volume: OS telemetry
@@ -539,18 +527,6 @@ func (w *World) CloudflareSet() map[string]struct{} {
 	s := make(map[string]struct{})
 	for i := range w.Sites {
 		if w.Sites[i].Cloudflare() {
-			s[w.Sites[i].Domain] = struct{}{}
-		}
-	}
-	return s
-}
-
-// BackendSet returns the registrable domains serving any traffic through
-// backend b (primary or secondary).
-func (w *World) BackendSet(b Backend) map[string]struct{} {
-	s := make(map[string]struct{})
-	for i := range w.Sites {
-		if w.Sites[i].OnBackend(b) {
 			s[w.Sites[i].Domain] = struct{}{}
 		}
 	}

@@ -23,6 +23,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative sites", Config{Sites: -1}, "sites -1 negative"},
 		{"negative clients", Config{Clients: -5}, "clients -5 negative"},
 		{"negative days", Config{Days: -2}, "days -2 negative"},
+		{"too many sites", Config{Sites: 1 << 40}, "sites 1099511627776 above the cap"},
+		{"too many clients", Config{Clients: 1 << 40}, "clients 1099511627776 above the cap"},
+		{"too many days", Config{Days: 1 << 40}, "days 1099511627776 above the cap"},
 		{"negative workers", Config{Workers: -1}, "workers -1 negative"},
 		{"fault rate above one", Config{FaultRate: 1.5}, "fault rate 1.5 outside [0, 1]"},
 		{"negative fault rate", Config{FaultRate: -0.5}, "fault rate -0.5 outside [0, 1]"},
