@@ -81,15 +81,16 @@ crashcheck:
 vantagecheck:
 	$(GO) test -run=TestVantageCheck -count=1 .
 
-# Short fuzz smoke of the rank-bucketing, interner, fault-plan, probe-key,
-# toplistsd query-parameter, sketch and distinct-counter
-# decoder targets (seeds + 10s each). FuzzServerQuery minimizes each new
-# corpus entry for at most 1s: at the default 60s a 10s smoke can spend its
-# whole budget minimizing at 0 execs/s. A failing input is still reported,
-# only less minimized.
+# Short fuzz smoke of the rank-bucketing, PSL-normalization, interner,
+# fault-plan, probe-key, toplistsd query-parameter, sketch and
+# distinct-counter decoder targets (seeds + 10s each). FuzzNormalize and
+# FuzzServerQuery minimize each new corpus entry for at most 1s: at the
+# default 60s a 10s smoke can spend most of its budget minimizing at
+# 0 execs/s. A failing input is still reported, only less minimized.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScaledMagnitudes -fuzztime=10s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzBucketer -fuzztime=10s ./internal/rank
+	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s -fuzzminimizetime=1s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzInternLookupRoundTrip -fuzztime=10s ./internal/names
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeKey -fuzztime=10s ./internal/faults

@@ -34,8 +34,9 @@ func main() {
 	fmt.Printf("\nodds of inclusion by category (universe: Cloudflare top %d)\n", topK)
 	fmt.Printf("%-14s %10s %10s\n", "category", "Alexa", "CrUX")
 
-	alexaList, _ := study.Alexa.Normalized(day, study.PSL)
-	cruxList, _ := study.Crux.Normalized(day, study.PSL)
+	art := study.Artifacts()
+	alexaList := art.Normalized(study.Alexa, day)
+	cruxList := art.Normalized(study.Crux, day)
 	alexaOdds, err := core.CategoryBias(study.World, universe, alexaList, topK)
 	if err != nil {
 		log.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"toplists/internal/linkgraph"
 	"toplists/internal/providers"
 	"toplists/internal/psl"
+	"toplists/internal/rank"
 	"toplists/internal/simrand"
 	"toplists/internal/stats"
 	"toplists/internal/traffic"
@@ -39,7 +40,10 @@ func main() {
 	engine.AddSink(telemetry)
 	engine.Run()
 
-	tranco := providers.NewTranco(alexa, umbrella, majestic, l, nil)
+	// Every list is normalized through one memoizing normalizer over the
+	// world's name table, the same way a study's artifact store does.
+	nz := rank.NewNormalizer(w.Interner(), l)
+	tranco := providers.NewTranco(alexa, umbrella, majestic, providers.NewNormMemo(nz))
 	for d := 0; d < days; d++ {
 		tranco.ComputeDay(d)
 	}
@@ -48,9 +52,9 @@ func main() {
 	churn := func(p providers.List) float64 {
 		var sims []float64
 		for d := 1; d < days; d++ {
-			prev, _ := p.Normalized(d-1, l)
-			cur, _ := p.Normalized(d, l)
-			sims = append(sims, stats.Jaccard(prev.TopSet(head), cur.TopSet(head)))
+			prev, _ := p.Normalized(d-1, nz)
+			cur, _ := p.Normalized(d, nz)
+			sims = append(sims, stats.JaccardIDs(prev.TopSetIDs(head), cur.TopSetIDs(head)))
 		}
 		return stats.Mean(sims)
 	}
@@ -61,7 +65,7 @@ func main() {
 	}
 
 	day := days - 1
-	t, _ := tranco.Normalized(day, l)
+	t, _ := tranco.Normalized(day, nz)
 	fmt.Printf("\nfinal Tranco day: %d ranked domains; head of list:\n", t.Len())
 	for i := 1; i <= 10 && i <= t.Len(); i++ {
 		name := t.At(i)

@@ -147,58 +147,38 @@ func (t *Telemetry) Ranking(c world.Country, p world.Platform, m TelemetryMetric
 	return rank.FromScoredIDs(t.w.Interner(), scored, rank.TieHashed)
 }
 
-// CruxEntry is one origin in the public CrUX dataset.
-type CruxEntry struct {
-	Origin string
-	// Bucket is the published rank magnitude; CrUX does not publish exact
-	// ranks (Section 2).
-	Bucket rank.Bucket
-}
-
-// CruxList is the public CrUX dataset for the month: origins with
-// rank-magnitude buckets only.
-type CruxList struct {
-	Entries []CruxEntry
-	// ranking preserves the internal (unpublished) completed-page-load
-	// order used to assign buckets; the evaluation uses it only to truncate
-	// to magnitudes, mirroring how researchers consume CrUX as a set.
-	ranking *rank.Ranking
-}
-
 // DeriveCrux computes the public CrUX list: origins ordered by monthly
 // completed page loads, filtered to origins of sites with at least
-// minVisitors distinct visitors in some country, bucketed by the given
-// bucketer.
-func (t *Telemetry) DeriveCrux(minVisitors int, bk rank.Bucketer) *CruxList {
-	passes := make(map[int32]bool)
+// minVisitors distinct visitors in some country. The returned ranking is
+// the dataset's internal (unpublished) order; the public dataset carries
+// only its rank-magnitude buckets, which a rank.Bucketer assigns from it.
+// Origins are interned site by site, subdomain by subdomain, so the
+// table's growth does not depend on map iteration order.
+func (t *Telemetry) DeriveCrux(minVisitors int) *rank.Ranking {
+	passes := make([]bool, t.w.NumSites())
 	for vk, d := range t.countryVisitors {
 		if int(d.Count()) >= minVisitors {
 			passes[int32(vk&0xffffffff)] = true
 		}
 	}
-	scored := make([]rank.Scored, 0, len(t.originCompleted))
-	for key, v := range t.originCompleted {
-		if !passes[key.site] {
+	tab := t.w.Interner()
+	scored := make([]rank.ScoredID, 0, len(t.originCompleted))
+	for i, ok := range passes {
+		if !ok {
 			continue
 		}
-		site := t.w.Site(key.site)
+		site := t.w.Site(int32(i))
 		scheme := "https://"
 		if !site.HTTPS {
 			scheme = "http://"
 		}
-		scored = append(scored, rank.Scored{Name: scheme + site.Hostname(int(key.sub)), Score: v})
+		for sub := range site.Subdomains {
+			v, ok := t.originCompleted[originKey{int32(i), uint8(sub)}]
+			if !ok {
+				continue
+			}
+			scored = append(scored, rank.ScoredID{ID: tab.Intern(scheme + site.Hostname(sub)), Score: v})
+		}
 	}
-	r := rank.FromScoresIn(t.w.Interner(), scored, rank.TieHashed)
-	entries := make([]CruxEntry, r.Len())
-	for i := 1; i <= r.Len(); i++ {
-		entries[i-1] = CruxEntry{Origin: r.At(i), Bucket: bk.BucketOf(i)}
-	}
-	return &CruxList{Entries: entries, ranking: r}
+	return rank.FromScoredIDs(tab, scored, rank.TieHashed)
 }
-
-// OriginRanking returns the internal origin ordering (not public in the real
-// dataset; used for truncation to magnitude sets).
-func (c *CruxList) OriginRanking() *rank.Ranking { return c.ranking }
-
-// Len returns the number of published origins.
-func (c *CruxList) Len() int { return len(c.Entries) }

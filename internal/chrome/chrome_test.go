@@ -2,9 +2,11 @@ package chrome
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"toplists/internal/names"
 	"toplists/internal/rank"
 	"toplists/internal/sketch"
 	"toplists/internal/stats"
@@ -112,46 +114,67 @@ func min(a, b int) int {
 func TestDeriveCrux(t *testing.T) {
 	w, tel := runTelemetry(t)
 	bk := rank.ScaledMagnitudes(w.NumSites())
-	crux := tel.DeriveCrux(2, bk)
+	crux := tel.DeriveCrux(2)
 	if crux.Len() == 0 {
 		t.Fatal("empty CrUX list")
 	}
-	if crux.OriginRanking().Len() != crux.Len() {
-		t.Fatal("ranking length mismatch")
-	}
 	prev := rank.Bucket(0)
-	for i, e := range crux.Entries {
-		if !strings.HasPrefix(e.Origin, "https://") && !strings.HasPrefix(e.Origin, "http://") {
-			t.Fatalf("entry %d is not an origin: %q", i, e.Origin)
+	for i, origin := range crux.Names() {
+		if !strings.HasPrefix(origin, "https://") && !strings.HasPrefix(origin, "http://") {
+			t.Fatalf("entry %d is not an origin: %q", i, origin)
 		}
-		if e.Bucket < prev {
+		b := bk.BucketOf(i + 1)
+		if b < prev {
 			t.Fatalf("bucket order violated at %d", i)
 		}
-		prev = e.Bucket
-		if want := bk.BucketOf(i + 1); e.Bucket != want {
-			t.Fatalf("entry %d bucket %v, want %v", i, e.Bucket, want)
+		prev = b
+	}
+	if got := bk.BucketOf(1); got != rank.Bucket1K {
+		t.Fatalf("top origin bucket %v, want %v", got, rank.Bucket1K)
+	}
+}
+
+// TestDeriveCruxMatchesStringOrder pins the interned derivation against
+// the string oracle: ranking the same origins by name with FromScoresIn
+// on a fresh table yields the same order.
+func TestDeriveCruxMatchesStringOrder(t *testing.T) {
+	_, tel := runTelemetry(t)
+	crux := tel.DeriveCrux(2)
+	loads := make(map[string]float64, len(tel.originCompleted))
+	for key, v := range tel.originCompleted {
+		site := tel.w.Site(key.site)
+		scheme := "https://"
+		if !site.HTTPS {
+			scheme = "http://"
 		}
+		loads[scheme+site.Hostname(int(key.sub))] = v
+	}
+	scored := make([]rank.Scored, 0, crux.Len())
+	for _, origin := range crux.Names() {
+		scored = append(scored, rank.Scored{Name: origin, Score: loads[origin]})
+	}
+	want := rank.FromScoresIn(names.NewTable(), scored, rank.TieHashed).Names()
+	if !slices.Equal(crux.Names(), want) {
+		t.Fatal("interned CrUX order differs from the string oracle")
 	}
 }
 
 func TestCruxThresholdFilters(t *testing.T) {
 	_, tel := runTelemetry(t)
-	bk := rank.PaperBucketer
-	loose := tel.DeriveCrux(1, bk)
-	strict := tel.DeriveCrux(8, bk)
+	loose := tel.DeriveCrux(1)
+	strict := tel.DeriveCrux(8)
 	if strict.Len() >= loose.Len() {
 		t.Fatalf("threshold did not filter: strict %d >= loose %d", strict.Len(), loose.Len())
 	}
 }
 
 func TestCruxMultipleOriginsPerSite(t *testing.T) {
-	w, tel := runTelemetry(t)
-	_ = w
-	crux := tel.DeriveCrux(1, rank.PaperBucketer)
+	_, tel := runTelemetry(t)
+	crux := tel.DeriveCrux(1)
 	hosts := map[string]int{}
 	multi := false
-	for _, e := range crux.Entries {
-		host := strings.TrimPrefix(strings.TrimPrefix(e.Origin, "https://"), "http://")
+	for _, origin := range crux.Names() {
+		host := strings.TrimPrefix(strings.TrimPrefix(origin, "https://"), "http://")
 		base := host
 		if i := strings.Index(host, "."); i >= 0 && (strings.HasPrefix(host, "www.") || strings.Count(host, ".") > 1) {
 			base = host[strings.Index(host, ".")+1:]

@@ -78,22 +78,14 @@ type rankingEntry struct {
 
 // Key types for the derived-ranking map. Each is a distinct comparable
 // struct, so one map can hold every artifact family without collisions.
+// Edge keys carry the (vantage, backend) grid coordinates; the primary
+// edge is (0, 0).
 type (
-	comboDayKey struct {
-		day   int
-		combo cfmetrics.Combo
-	}
-	monthlyKey struct {
-		combo cfmetrics.Combo
-	}
 	telemetryKey struct {
 		country  world.Country
 		platform world.Platform
 		metric   chrome.TelemetryMetric
 	}
-	// Edge keys carry the (vantage, backend) grid coordinates. The primary
-	// edge (0, 0) aliases the un-keyed families above, so the default
-	// configuration's cache metric counts are unchanged.
 	edgeComboDayKey struct {
 		vi, bi int
 		day    int
@@ -108,7 +100,7 @@ type (
 func newArtifacts(s *Study) *Artifacts {
 	a := &Artifacts{
 		s:           s,
-		norms:       providers.NewInternedNormMemo(rank.NewNormalizer(s.World.Interner(), s.PSL)),
+		norms:       providers.NewNormMemo(rank.NewNormalizer(s.World.Interner(), s.PSL)),
 		derived:     make(map[any]*rankingEntry),
 		cmNorm:      obs.NewCacheMetrics(s.obs, "artifacts.norm"),
 		cmCombo:     obs.NewCacheMetrics(s.obs, "artifacts.combo"),
@@ -161,7 +153,7 @@ func (a *Artifacts) invalidateMonthly() {
 	defer a.mu.Unlock()
 	for k := range a.derived {
 		switch k.(type) {
-		case monthlyKey, telemetryKey, edgeMonthlyKey:
+		case telemetryKey, edgeMonthlyKey:
 			delete(a.derived, k)
 		}
 	}
@@ -175,13 +167,9 @@ func (a *Artifacts) Normalized(l providers.List, day int) *rank.Ranking {
 }
 
 // ComboRanking returns the day's ranked domain list for one Cloudflare
-// filter-aggregation combo, memoized per (day, combo). Like every per-day
-// edge ranking it is built from the published view's archive, so it needs
-// no lifecycle lock; the day must be published.
+// filter-aggregation combo at the primary edge, memoized per (day, combo).
 func (a *Artifacts) ComboRanking(day int, c cfmetrics.Combo) *rank.Ranking {
-	return a.memoized(comboDayKey{day, c}, a.cmCombo, func() *rank.Ranking {
-		return a.s.view.Load().edges[0][0].Ranking(day, c)
-	})
+	return a.EdgeComboRanking(0, 0, day, c)
 }
 
 // MetricRanking returns the day's ranking for a canonical Cloudflare
@@ -190,26 +178,17 @@ func (a *Artifacts) MetricRanking(day int, m cfmetrics.Metric) *rank.Ranking {
 	return a.ComboRanking(day, m.Combo())
 }
 
-// MonthlyMetric combines a metric's daily rankings into one month-level
-// ranking by summing reciprocal ranks (the Dowdall rule, the same
-// amalgamation Tranco uses), memoized per metric.
+// MonthlyMetric combines a metric's daily rankings at the primary edge
+// into one month-level ranking, memoized per metric.
 func (a *Artifacts) MonthlyMetric(m cfmetrics.Metric) *rank.Ranking {
-	return a.memoized(monthlyKey{m.Combo()}, a.cmMonthly, func() *rank.Ranking {
-		days := make([]*rank.Ranking, a.s.Day())
-		for d := range days {
-			days[d] = a.MetricRanking(d, m)
-		}
-		return rank.Dowdall(a.s.World.Interner(), days)
-	})
+	return a.EdgeMonthlyMetric(0, 0, m)
 }
 
 // EdgeComboRanking returns the day's ranked domain list for one combo as
 // observed by the (vi, bi) edge pipeline, memoized per (edge, day, combo).
-// The primary edge (0, 0) shares the un-keyed ComboRanking memo.
+// Like every per-day edge ranking it is built from the published view's
+// archive, so it needs no lifecycle lock; the day must be published.
 func (a *Artifacts) EdgeComboRanking(vi, bi, day int, c cfmetrics.Combo) *rank.Ranking {
-	if vi == 0 && bi == 0 {
-		return a.ComboRanking(day, c)
-	}
 	return a.memoized(edgeComboDayKey{vi, bi, day, c}, a.cmCombo, func() *rank.Ranking {
 		return a.s.view.Load().edges[vi][bi].Ranking(day, c)
 	})
@@ -221,13 +200,11 @@ func (a *Artifacts) EdgeMetricRanking(vi, bi, day int, m cfmetrics.Metric) *rank
 	return a.EdgeComboRanking(vi, bi, day, m.Combo())
 }
 
-// EdgeMonthlyMetric is MonthlyMetric for one (vantage, backend) edge: the
-// metric's daily rankings under that edge's visibility, Dowdall-combined
-// into one month-level ranking. The primary edge shares the un-keyed memo.
+// EdgeMonthlyMetric combines a metric's daily rankings under the (vi, bi)
+// edge's visibility into one month-level ranking by summing reciprocal
+// ranks (the Dowdall rule, the same amalgamation Tranco uses), memoized
+// per (edge, metric).
 func (a *Artifacts) EdgeMonthlyMetric(vi, bi int, m cfmetrics.Metric) *rank.Ranking {
-	if vi == 0 && bi == 0 {
-		return a.MonthlyMetric(m)
-	}
 	return a.memoized(edgeMonthlyKey{vi, bi, m.Combo()}, a.cmMonthly, func() *rank.Ranking {
 		days := make([]*rank.Ranking, a.s.Day())
 		for d := range days {

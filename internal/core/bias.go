@@ -25,34 +25,25 @@ type CategoryOdds struct {
 // CategoryBias runs the Section 6.4 analysis for one list: the universe is
 // the Cloudflare top-K domains (by the all-requests metric on the chosen
 // day), the outcome is membership in the list, and each category is
-// regressed against all other domains as control.
+// regressed against all other domains as control. Both rankings must be
+// ranked over the world's name table.
 func CategoryBias(w *world.World, cfTop *rank.Ranking, list *rank.Ranking, topK int) ([]CategoryOdds, error) {
+	mustShareTable("CategoryBias", cfTop.Table(), w.Interner())
+	mustShareTable("CategoryBias", list.Table(), w.Interner())
 	universe := cfTop.Top(topK)
 	n := universe.Len()
 	cats := make([]world.Category, n)
 	included := make([]bool, n)
-	if interned := cfTop.Table() == w.Interner() && list.Table() == w.Interner(); interned {
-		// Site domains are interned in true-rank order, so a universe
-		// entry's ID resolves to its site without touching the name string.
-		for i := 1; i <= n; i++ {
-			id := universe.IDAt(i)
-			site, ok := w.SiteOfID(id)
-			if !ok {
-				continue
-			}
-			cats[i-1] = w.Site(site).Category
-			included[i-1] = list.ContainsID(id)
+	// Site domains are interned in true-rank order, so a universe entry's
+	// ID resolves to its site without touching the name string.
+	for i := 1; i <= n; i++ {
+		id := universe.IDAt(i)
+		site, ok := w.SiteOfID(id)
+		if !ok {
+			continue
 		}
-	} else {
-		for i := 1; i <= n; i++ {
-			name := universe.At(i)
-			id, ok := w.ByDomain(name)
-			if !ok {
-				continue
-			}
-			cats[i-1] = w.Site(id).Category
-			included[i-1] = list.Contains(name)
-		}
+		cats[i-1] = w.Site(site).Category
+		included[i-1] = list.ContainsID(id)
 	}
 
 	out := make([]CategoryOdds, 0, world.NumCategories)
@@ -128,17 +119,12 @@ type CellComparison struct {
 // telemetry ranking for one (country, platform) cell at magnitude k,
 // comparing the list's intersection with the cell's observed domains
 // against the cell's own top sites — the same construction as the
-// Cloudflare comparison, with Chrome as the reference.
+// Cloudflare comparison, with Chrome as the reference. Both rankings must
+// be ranked over the same name table.
 func CompareListToChromeCell(list *rank.Ranking, cell *rank.Ranking, k int) CellComparison {
+	mustShareTable("CompareListToChromeCell", list.Table(), cell.Table())
 	var out CellComparison
-	top := list.Top(k)
-	interned := list.Table() == cell.Table()
-	var inCell *rank.Ranking
-	if interned {
-		inCell = top.FilterIDs(cell.ContainsID)
-	} else {
-		inCell = top.Filter(cell.Contains)
-	}
+	inCell := list.Top(k).FilterIDs(cell.ContainsID)
 	n := inCell.Len()
 	if n == 0 {
 		return out
@@ -147,22 +133,12 @@ func CompareListToChromeCell(list *rank.Ranking, cell *rank.Ranking, k int) Cell
 		n = cell.Len()
 	}
 	cellTop := cell.Top(n)
+	out.Jaccard = stats.JaccardIDs(inCell.TopSetIDs(n), cellTop.TopSetIDs(n))
 	var xs, ys []float64
-	if interned {
-		out.Jaccard = stats.JaccardIDs(inCell.TopSetIDs(n), cellTop.TopSetIDs(n))
-		for i := 1; i <= inCell.Len(); i++ {
-			if r, ok := cellTop.RankOfID(inCell.IDAt(i)); ok {
-				xs = append(xs, float64(i))
-				ys = append(ys, float64(r))
-			}
-		}
-	} else {
-		out.Jaccard = stats.Jaccard(inCell.TopSet(n), cellTop.TopSet(n))
-		for i := 1; i <= inCell.Len(); i++ {
-			if r, ok := cellTop.RankOf(inCell.At(i)); ok {
-				xs = append(xs, float64(i))
-				ys = append(ys, float64(r))
-			}
+	for i := 1; i <= inCell.Len(); i++ {
+		if r, ok := cellTop.RankOfID(inCell.IDAt(i)); ok {
+			xs = append(xs, float64(i))
+			ys = append(ys, float64(r))
 		}
 	}
 	if rs, err := stats.Spearman(xs, ys); err == nil {

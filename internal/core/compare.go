@@ -8,36 +8,35 @@ import (
 	"toplists/internal/stats"
 )
 
-// JaccardTopK returns the Jaccard index of the top-k sets of two rankings.
-// Rankings over the same name table compare as ID bitsets; the string-set
-// path remains for free-standing fixtures.
-func JaccardTopK(a, b *rank.Ranking, k int) float64 {
-	if a.Table() == b.Table() {
-		return stats.JaccardIDs(a.TopSetIDs(k), b.TopSetIDs(k))
+// mustShareTable panics, naming fn, unless a and b are one name table.
+// The comparison helpers only ever see one study's artifacts, all ranked
+// over the world's table, so a mismatch is an internal invariant
+// violation, not an input error: IDs from different tables are unrelated.
+func mustShareTable(fn string, a, b *names.Table) {
+	if a != b {
+		panic("core: " + fn + " rankings use different name tables")
 	}
-	return stats.Jaccard(a.TopSet(k), b.TopSet(k))
+}
+
+// JaccardTopK returns the Jaccard index of the top-k sets of two rankings,
+// compared as ID bitsets. Both must be ranked over the same name table.
+func JaccardTopK(a, b *rank.Ranking, k int) float64 {
+	mustShareTable("JaccardTopK", a.Table(), b.Table())
+	return stats.JaccardIDs(a.TopSetIDs(k), b.TopSetIDs(k))
 }
 
 // SpearmanTopK returns Spearman's rank correlation over the intersection of
 // the top-k prefixes of two rankings, plus the intersection size. The
 // correlation is computed on the ranks each list assigns to the shared
-// elements, per Section 3.2.
+// elements, per Section 3.2. Both must be ranked over the same name table.
 func SpearmanTopK(a, b *rank.Ranking, k int) (rs float64, shared int, err error) {
+	mustShareTable("SpearmanTopK", a.Table(), b.Table())
 	aTop := a.Top(k)
 	var xs, ys []float64
-	if a.Table() == b.Table() {
-		for i := 1; i <= aTop.Len(); i++ {
-			if rb, ok := b.RankOfID(aTop.IDAt(i)); ok && rb <= k {
-				xs = append(xs, float64(i))
-				ys = append(ys, float64(rb))
-			}
-		}
-	} else {
-		for i := 1; i <= aTop.Len(); i++ {
-			if rb, ok := b.RankOf(aTop.At(i)); ok && rb <= k {
-				xs = append(xs, float64(i))
-				ys = append(ys, float64(rb))
-			}
+	for i := 1; i <= aTop.Len(); i++ {
+		if rb, ok := b.RankOfID(aTop.IDAt(i)); ok && rb <= k {
+			xs = append(xs, float64(i))
+			ys = append(ys, float64(rb))
 		}
 	}
 	rs, err = stats.Spearman(xs, ys)
@@ -68,13 +67,9 @@ type ListVsMetric struct {
 // EvalListVsMetric runs the Section 4.3 comparison. bucketed disables the
 // Spearman computation (CrUX). cfSet is the probed Cloudflare set as a
 // bitset over the study's name table (Artifacts.CFDomainIDs). Both
-// rankings must be ranked over that same table — the experiment runners
-// only pass study-owned artifacts, so a mismatch is an internal invariant
-// violation, not an input error.
+// rankings must be ranked over that same table.
 func EvalListVsMetric(list *rank.Ranking, cfSet *names.Set, cf *rank.Ranking, k int, bucketed bool) ListVsMetric {
-	if list.Table() != cf.Table() {
-		panic("core: EvalListVsMetric rankings use different name tables")
-	}
+	mustShareTable("EvalListVsMetric", list.Table(), cf.Table())
 	cfOnly := list.Top(k).FilterIDs(cfSet.Contains)
 	n := cfOnly.Len()
 	res := ListVsMetric{N: n}

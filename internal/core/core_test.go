@@ -225,8 +225,7 @@ func TestCategoryBiasRecoversPlantedBias(t *testing.T) {
 	s := getStudy(t)
 	day := s.Cfg.Days - 1
 	cfTop := s.Pipeline.MetricRanking(day, cfmetrics.MAllRequests)
-	list, _ := s.Alexa.Normalized(day, s.PSL)
-	odds, err := CategoryBias(s.World, cfTop, list, s.Bucketer.Magnitudes[2])
+	odds, err := CategoryBias(s.World, cfTop, s.Artifacts().Normalized(s.Alexa, day), s.Bucketer.Magnitudes[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +255,51 @@ func TestCompareListToChromeCell(t *testing.T) {
 	empty := CompareListToChromeCell(rank.MustNew([]string{"q"}), cell, 1)
 	if empty.Jaccard != 0 || empty.SpearmanOK {
 		t.Errorf("empty = %+v", empty)
+	}
+}
+
+// TestComparisonsRejectForeignTables pins the one name space of evaluation:
+// every comparison helper panics when its two rankings are ranked over
+// different name tables instead of comparing unrelated IDs.
+func TestComparisonsRejectForeignTables(t *testing.T) {
+	w := world.Generate(world.Config{Seed: 3, NumSites: 50})
+	onWorld := func() *rank.Ranking {
+		return rank.MustFromIDs(w.Interner(), []names.ID{w.DomainID(0), w.DomainID(1), w.DomainID(2)})
+	}
+	// The same names as onWorld, interned on a table of their own.
+	foreign := func() *rank.Ranking {
+		r, err := rank.NewIn(names.NewTable(), onWorld().Names())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cases := []struct {
+		name string
+		call func(a, b *rank.Ranking)
+	}{
+		{"JaccardTopK", func(a, b *rank.Ranking) { JaccardTopK(a, b, 3) }},
+		{"SpearmanTopK", func(a, b *rank.Ranking) { SpearmanTopK(a, b, 3) }},
+		{"EvalListVsMetric", func(a, b *rank.Ranking) { EvalListVsMetric(a, names.NewSet(nil), b, 3, false) }},
+		{"CategoryBias", func(a, b *rank.Ranking) { CategoryBias(w, a, b, 3) }},
+		{"CompareListToChromeCell", func(a, b *rank.Ranking) { CompareListToChromeCell(a, b, 3) }},
+		{"AgreedBuckets", func(a, b *rank.Ranking) { AgreedBuckets(a, b, rank.PaperBucketer) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Same table: no panic.
+			tc.call(onWorld(), onWorld())
+			for _, pair := range [][2]*rank.Ranking{{onWorld(), foreign()}, {foreign(), onWorld()}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s compared rankings over different tables", tc.name)
+						}
+					}()
+					tc.call(pair[0], pair[1])
+				}()
+			}
+		})
 	}
 }
 

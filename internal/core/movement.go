@@ -12,9 +12,7 @@ import (
 // given bucket"). The set is keyed by ID on the rankings' shared name
 // table; both rankings must be ranked over that same table.
 func AgreedBuckets(m1, m3 *rank.Ranking, bk rank.Bucketer) map[names.ID]rank.Bucket {
-	if m1.Table() != m3.Table() {
-		panic("core: AgreedBuckets rankings use different name tables")
-	}
+	mustShareTable("AgreedBuckets", m1.Table(), m3.Table())
 	out := make(map[names.ID]rank.Bucket)
 	for i := 1; i <= m1.Len(); i++ {
 		b1 := bk.BucketOf(i)

@@ -402,8 +402,8 @@ func NewStudy(cfg Config) *Study {
 	// the day just simulated, drawing normalized input snapshots through
 	// the artifact store's memo so that work is already warm at evaluation
 	// time.
-	s.Tranco = providers.NewTranco(s.Alexa, s.Umbrella, s.Majestic, s.PSL, s.artifacts.norms)
-	s.Trexa = providers.NewTrexa(s.Alexa, s.Tranco, s.PSL)
+	s.Tranco = providers.NewTranco(s.Alexa, s.Umbrella, s.Majestic, s.artifacts.norms)
+	s.Trexa = providers.NewTrexa(s.Alexa, s.Tranco)
 	s.cruxDay = -1
 	s.publishLocked()
 	buildSpan.End()
@@ -460,9 +460,6 @@ func (s *Study) AdvanceDay(ctx context.Context) error {
 	}
 	if err := s.advanceDayLocked(ctx); err != nil {
 		return err
-	}
-	if s.Engine.Day() == s.Cfg.Days {
-		s.finalizeLocked()
 	}
 	s.autoCheckpointLocked()
 	return nil
@@ -534,8 +531,14 @@ func (s *Study) advanceDayLocked(ctx context.Context) error {
 	s.Trexa.ComputeDay(day)
 	amalgamSpan.End()
 	// Publish before invalidating, so a month-scoped artifact rebuilt after
-	// the invalidation reads the new day.
-	s.publishLocked()
+	// the invalidation reads the new day. The final day is published once,
+	// finished: a reader that sees Day() == Days also sees the month's CrUX
+	// list derived and its origin names interned.
+	if s.Engine.Day() == s.Cfg.Days {
+		s.finalizeLocked()
+	} else {
+		s.publishLocked()
+	}
 	// Month-scoped artifacts (monthly Dowdall rankings, telemetry cell
 	// rankings) now cover one more day; drop the stale entries. Per-day
 	// artifacts are immutable once their day is published and stay cached.
@@ -544,9 +547,10 @@ func (s *Study) advanceDayLocked(ctx context.Context) error {
 }
 
 // finalizeLocked marks the study fully run, derives the published CrUX
-// list and publishes the final day, which also covers days a caller ran
-// on the Engine directly rather than through AdvanceDay. Idempotent;
-// callers hold lifeMu with the engine at Days.
+// list and then publishes the final day. advanceDayLocked calls it for the
+// last day; RunContext and Resume call it again, which also covers days a
+// caller ran on the Engine directly rather than through AdvanceDay.
+// Idempotent; callers hold lifeMu with the engine at Days.
 func (s *Study) finalizeLocked() {
 	if s.ran {
 		return
@@ -568,7 +572,7 @@ func (s *Study) cruxLocked() *providers.Crux {
 		if s.Crux != nil {
 			s.artifacts.norms.InvalidateList(s.Crux.Name())
 		}
-		s.Crux = providers.NewCrux(s.Telemetry, cruxMinVisitors, s.Bucketer)
+		s.Crux = providers.NewCrux(s.Telemetry, cruxMinVisitors)
 		s.cruxDay = day
 	}
 	return s.Crux

@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,5 +209,47 @@ func TestReadsDoNotWaitForAdvance(t *testing.T) {
 		}
 	case <-time.After(bound):
 		t.Fatalf("reads still blocked after %v behind an advance holding the lifecycle lock", bound)
+	}
+}
+
+// TestFinalDayPublishedFinished pins that the final day is published only
+// once the month is finished: a goroutine polling Day() during the last
+// AdvanceDay must, as soon as it sees Day() == Days, already read the
+// names.interned gauge at its value after the call returns, the CrUX
+// origin names included.
+func TestFinalDayPublishedFinished(t *testing.T) {
+	interned := func(s *Study) int64 { return s.Metrics().Snapshot().Gauges["names.interned"] }
+	for seed := uint64(1); seed <= 4; seed++ {
+		func() {
+			cfg := Config{Seed: seed, NumSites: 300, NumClients: 80, Days: 2, Workers: 1}
+			s := NewStudy(cfg)
+			defer s.Close()
+			ctx := context.Background()
+			for s.Day() < cfg.Days-1 {
+				if err := s.AdvanceDay(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// seen carries the poller's one reading; failed stops a poller
+			// whose final day never comes.
+			seen := make(chan int64, 1)
+			var failed atomic.Bool
+			go func() {
+				for s.Day() < cfg.Days {
+					if failed.Load() {
+						return
+					}
+				}
+				seen <- interned(s)
+			}()
+			if err := s.AdvanceDay(ctx); err != nil {
+				failed.Store(true)
+				t.Fatal(err)
+			}
+			if got, want := <-seen, interned(s); got != want {
+				t.Errorf("seed %d: names.interned = %d when Day() first read %d, %d after AdvanceDay returned",
+					seed, got, cfg.Days, want)
+			}
+		}()
 	}
 }

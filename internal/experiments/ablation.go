@@ -7,8 +7,7 @@ import (
 
 	"toplists/internal/cfmetrics"
 	"toplists/internal/core"
-	"toplists/internal/psl"
-	"toplists/internal/rank"
+	"toplists/internal/providers"
 	"toplists/internal/report"
 	"toplists/internal/world"
 )
@@ -99,8 +98,8 @@ func RunAblations(scale core.Config) (*AblationResult, error) {
 			Mechanism:  "private browsing",
 			Finding:    "Alexa excludes adult sites (Table 3)",
 			Metric:     "Alexa adult odds ratio",
-			Base:       adultOdds(base, base.Alexa.Normalized),
-			Ablated:    adultOdds(ablated, ablated.Alexa.Normalized),
+			Base:       adultOdds(base, base.Alexa),
+			Ablated:    adultOdds(ablated, ablated.Alexa),
 			WantHigher: true,
 		})
 		ablated.Close()
@@ -141,8 +140,8 @@ func RunAblations(scale core.Config) (*AblationResult, error) {
 			Mechanism:  "workday browsing skew",
 			Finding:    "corporate vantage over-includes work categories (§5.2, Table 3)",
 			Metric:     "Umbrella business odds ratio",
-			Base:       categoryOdds(base, base.Umbrella.Normalized, world.Business),
-			Ablated:    categoryOdds(ablated, ablated.Umbrella.Normalized, world.Business),
+			Base:       categoryOdds(base, base.Umbrella, world.Business),
+			Ablated:    categoryOdds(ablated, ablated.Umbrella, world.Business),
 			WantHigher: false,
 		})
 		ablated.Close()
@@ -170,8 +169,8 @@ func RunAblations(scale core.Config) (*AblationResult, error) {
 			Mechanism:  "category traffic boosts",
 			Finding:    "CrUX is the only list accounting for adult sites (Table 3)",
 			Metric:     "CrUX adult odds ratio",
-			Base:       adultOdds(base, base.Crux.Normalized),
-			Ablated:    adultOdds(ablated, ablated.Crux.Normalized),
+			Base:       adultOdds(base, base.Crux),
+			Ablated:    adultOdds(ablated, ablated.Crux),
 			WantHigher: false,
 		})
 		ablated.Close()
@@ -180,18 +179,17 @@ func RunAblations(scale core.Config) (*AblationResult, error) {
 	return res, nil
 }
 
-// adultOdds computes the adult-category inclusion odds ratio for a list
-// given its Normalized method.
-func adultOdds(s *core.Study, normalized func(int, *psl.List) (*rank.Ranking, rank.NormalizeStats)) float64 {
-	return categoryOdds(s, normalized, world.Adult)
+// adultOdds computes the adult-category inclusion odds ratio for a list.
+func adultOdds(s *core.Study, l providers.List) float64 {
+	return categoryOdds(s, l, world.Adult)
 }
 
 // categoryOdds computes one category's inclusion odds ratio for a list.
-func categoryOdds(s *core.Study, normalized func(int, *psl.List) (*rank.Ranking, rank.NormalizeStats), cat world.Category) float64 {
+func categoryOdds(s *core.Study, l providers.List, cat world.Category) float64 {
 	day := evalDay(s)
-	cfTop := s.Artifacts().MetricRanking(day, cfmetrics.MAllRequests)
-	list, _ := normalized(day, s.PSL)
-	odds, err := core.CategoryBias(s.World, cfTop, list, s.Bucketer.Magnitudes[2])
+	art := s.Artifacts()
+	cfTop := art.MetricRanking(day, cfmetrics.MAllRequests)
+	odds, err := core.CategoryBias(s.World, cfTop, art.Normalized(l, day), s.Bucketer.Magnitudes[2])
 	if err != nil {
 		return 0
 	}

@@ -66,8 +66,7 @@ func RunAttack(scale core.Config, budgets []int) (*AttackResult, error) {
 		s.Run()
 		defer s.Close()
 		day := evalDay(s)
-		aList, _ := s.Alexa.Normalized(day, s.PSL)
-		alexa, _ = aList.RankOf(targetDomain)
+		alexa, _ = s.Artifacts().Normalized(s.Alexa, day).RankOf(targetDomain)
 		tranco, _ = s.Tranco.Raw(day).RankOf(targetDomain)
 		cf, _ = s.Artifacts().MetricRanking(day, cfmetrics.MAllRequests).RankOf(targetDomain)
 		return alexa, tranco, cf

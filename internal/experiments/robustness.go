@@ -81,7 +81,7 @@ func RunRobustness(scale core.Config, seeds []uint64) (*RobustnessResult, error)
 				case "CrUX overranked % (10K)":
 					res.Values[mi][si] = fig5.OverrankFor("CrUX", 1).OverrankedPct
 				case "CrUX adult odds ratio":
-					res.Values[mi][si] = categoryOdds(s, s.Crux.Normalized, world.Adult)
+					res.Values[mi][si] = categoryOdds(s, s.Crux, world.Adult)
 				}
 			}
 			s.Close()

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"toplists/internal/psl"
 	"toplists/internal/rank"
 	"toplists/internal/sketch"
 	"toplists/internal/traffic"
@@ -210,11 +209,6 @@ func (a *Alexa) Archive() []*rank.Ranking { return slices.Clip(a.lists) }
 func (a *Alexa) Raw(day int) *rank.Ranking { return a.lists[day] }
 
 // Normalized implements List.
-func (a *Alexa) Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalized(a.Raw(day), l)
-}
-
-// NormalizedIn implements the memoized normalization fast path.
-func (a *Alexa) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalizedIn(a.Raw(day), nz)
+func (a *Alexa) Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
+	return a.Raw(day).NormalizePSLIn(nz)
 }

@@ -5,7 +5,6 @@ import (
 
 	"toplists/internal/chrome"
 	"toplists/internal/names"
-	"toplists/internal/psl"
 	"toplists/internal/rank"
 )
 
@@ -14,14 +13,16 @@ import (
 // as rank-order-magnitude buckets only. The same monthly list is returned
 // for every day of the month, matching how the real dataset updates.
 type Crux struct {
-	list *chrome.CruxList
-	norm monthNorm
+	// origins is the month's origin ranking in the dataset's internal
+	// completed-page-load order.
+	origins *rank.Ranking
+	norm    monthNorm
 }
 
 // NewCrux derives the month's public CrUX list from telemetry. minVisitors
-// is the per-country privacy threshold; bk sets the magnitude cutoffs.
-func NewCrux(t *chrome.Telemetry, minVisitors int, bk rank.Bucketer) *Crux {
-	return &Crux{list: t.DeriveCrux(minVisitors, bk)}
+// is the per-country privacy threshold.
+func NewCrux(t *chrome.Telemetry, minVisitors int) *Crux {
+	return &Crux{origins: t.DeriveCrux(minVisitors)}
 }
 
 // Name implements List.
@@ -32,62 +33,44 @@ func (c *Crux) Name() string { return "CrUX" }
 func (c *Crux) Bucketed() bool { return true }
 
 // Raw implements List: entries are origins in the dataset's internal order.
-func (c *Crux) Raw(day int) *rank.Ranking { return c.list.OriginRanking() }
+func (c *Crux) Raw(day int) *rank.Ranking { return c.origins }
 
 // Normalized implements List: origins are stripped to their host and
 // grouped by registrable domain with min-rank (Section 4.2). An entry
 // deviates from the PSL form when its host is not itself a registrable
-// domain (scheme differences alone do not count as deviation). The list is
+// domain (scheme differences alone do not count as deviation). Origin
+// hosts are not themselves ranked names, so each host is interned and its
+// apex resolved through the normalizer's per-ID cache. The list is
 // month-stable, so the grouping runs once and is shared by every day.
-func (c *Crux) Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return c.norm.get(l, func() (*rank.Ranking, rank.NormalizeStats) {
-		return c.normalize(func(host string) (string, bool) {
-			return l.RegisteredDomain(host)
-		})
-	})
-}
-
-// NormalizedIn implements the memoized normalization fast path; origin
-// hosts are not themselves ranked names, so the host's apex is resolved
-// through the normalizer's per-ID cache after interning the host.
-func (c *Crux) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
-	raw := c.Raw(0)
-	if raw.Table() != nz.Table() {
-		return c.Normalized(day, nz.PSL())
-	}
+func (c *Crux) Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
 	return c.norm.get(nz, func() (*rank.Ranking, rank.NormalizeStats) {
-		tab := nz.Table()
-		return c.normalize(func(host string) (string, bool) {
-			apexID, ok := nz.Apex(tab.Intern(host))
-			if !ok {
-				return "", false
-			}
-			return tab.Lookup(apexID), true
-		})
+		return c.normalize(nz)
 	})
 }
 
 // normalize groups origins by the registrable domain of their host, keyed
-// by interned ID on the raw list's table, ordered by minimum origin rank.
-func (c *Crux) normalize(apexOf func(host string) (string, bool)) (*rank.Ranking, rank.NormalizeStats) {
-	raw := c.Raw(0)
+// by interned ID on the origins' table, ordered by minimum origin rank.
+func (c *Crux) normalize(nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
+	raw := c.origins
 	tab := raw.Table()
+	if nz.Table() != tab {
+		panic("providers: CrUX normalizer bound to a different table")
+	}
 	stats := rank.NormalizeStats{Entries: raw.Len()}
 	minRank := make(map[names.ID]int, raw.Len())
 	for i := 1; i <= raw.Len(); i++ {
-		host := hostOfOrigin(raw.At(i))
-		etld1, ok := apexOf(host)
+		host := tab.Intern(hostOfOrigin(raw.At(i)))
+		apex, ok := nz.Apex(host)
 		if !ok {
 			stats.Dropped++
 			stats.Deviating++
 			continue
 		}
-		if etld1 != host {
+		if apex != host {
 			stats.Deviating++
 		}
-		id := tab.Intern(etld1)
-		if _, seen := minRank[id]; !seen {
-			minRank[id] = i
+		if _, seen := minRank[apex]; !seen {
+			minRank[apex] = i
 		}
 	}
 	stats.Groups = len(minRank)

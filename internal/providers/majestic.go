@@ -2,7 +2,6 @@ package providers
 
 import (
 	"toplists/internal/linkgraph"
-	"toplists/internal/psl"
 	"toplists/internal/rank"
 	"toplists/internal/world"
 )
@@ -46,15 +45,8 @@ func (m *Majestic) Raw(day int) *rank.Ranking { return m.list }
 
 // Normalized implements List. The snapshot is month-stable, so the
 // normalization is computed once and shared by every day.
-func (m *Majestic) Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return m.norm.get(l, func() (*rank.Ranking, rank.NormalizeStats) {
-		return domainNormalized(m.list, l)
-	})
-}
-
-// NormalizedIn implements the memoized normalization fast path.
-func (m *Majestic) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
+func (m *Majestic) Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
 	return m.norm.get(nz, func() (*rank.Ranking, rank.NormalizeStats) {
-		return domainNormalizedIn(m.list, nz)
+		return m.list.NormalizePSLIn(nz)
 	})
 }

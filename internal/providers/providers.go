@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"toplists/internal/obs"
-	"toplists/internal/psl"
 	"toplists/internal/rank"
 )
 
@@ -25,36 +24,14 @@ type List interface {
 	Raw(day int) *rank.Ranking
 	// Normalized returns the day's list normalized to PSL registrable
 	// domains with min-rank grouping (Section 4.2), along with deviation
-	// statistics for Table 2.
-	Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats)
+	// statistics for Table 2. nz must be bound to the table the list is
+	// ranked over; its per-ID apex memo runs each name's PSL trie walk
+	// once per study instead of once per (list, day).
+	Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats)
 	// Bucketed reports whether the list publishes only rank-order
 	// magnitudes (true only for CrUX), in which case Spearman rank
 	// correlation is undefined against it (Section 4.4).
 	Bucketed() bool
-}
-
-// domainNormalized implements Normalized for lists whose entries are DNS
-// names (domains or FQDNs).
-func domainNormalized(r *rank.Ranking, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return r.NormalizePSL(l)
-}
-
-// internNormalized is the optional fast path of Normalized: providers that
-// implement it normalize through a rank.Normalizer, whose per-interned-ID
-// apex memo runs each name's PSL trie walk once per study instead of once
-// per (list, day). All seven providers implement it.
-type internNormalized interface {
-	NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats)
-}
-
-// domainNormalizedIn implements NormalizedIn for DNS-name lists. A ranking
-// whose IDs belong to a different table than the normalizer (free-standing
-// fixtures) falls back to the uncached walk.
-func domainNormalizedIn(r *rank.Ranking, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
-	if r.Table() != nz.Table() {
-		return r.NormalizePSL(nz.PSL())
-	}
-	return r.NormalizePSLIn(nz)
 }
 
 // NormMemo memoizes PSL-normalized list snapshots per (list, day). It is
@@ -65,9 +42,7 @@ func domainNormalizedIn(r *rank.Ranking, nz *rank.Normalizer) (*rank.Ranking, ra
 // singleflight deduplication — a second requester for an in-flight key
 // waits for the first computation instead of repeating it.
 type NormMemo struct {
-	psl *psl.List
-	// nz, when set, routes providers implementing internNormalized through
-	// the study-wide apex memo.
+	// nz is the study-wide normalizer every snapshot goes through.
 	nz *rank.Normalizer
 	// cm, when set, counts hits/misses/waits and build times. Read under mu.
 	cm *obs.CacheMetrics
@@ -87,16 +62,10 @@ type normMemoEntry struct {
 	stats rank.NormalizeStats
 }
 
-// NewNormMemo builds an empty memo normalizing against l, with no apex
-// memo (each snapshot walks the PSL trie per name).
-func NewNormMemo(l *psl.List) *NormMemo {
-	return &NormMemo{psl: l, m: make(map[normMemoKey]*normMemoEntry)}
-}
-
-// NewInternedNormMemo builds an empty memo normalizing through nz, sharing
-// its per-interned-name apex cache across every list and day.
-func NewInternedNormMemo(nz *rank.Normalizer) *NormMemo {
-	return &NormMemo{psl: nz.PSL(), nz: nz, m: make(map[normMemoKey]*normMemoEntry)}
+// NewNormMemo builds an empty memo normalizing through nz, sharing its
+// per-interned-name apex cache across every list and day.
+func NewNormMemo(nz *rank.Normalizer) *NormMemo {
+	return &NormMemo{nz: nz, m: make(map[normMemoKey]*normMemoEntry)}
 }
 
 // SetMetrics attaches cache instrumentation; nil detaches it.
@@ -132,11 +101,7 @@ func (m *NormMemo) Normalized(l List, day int) (*rank.Ranking, rank.NormalizeSta
 			e.done.Store(true)
 			cm.ObserveBuildSpan(start, time.Since(start))
 		}()
-		if in, ok := l.(internNormalized); ok && m.nz != nil {
-			e.r, e.stats = in.NormalizedIn(day, m.nz)
-			return
-		}
-		e.r, e.stats = l.Normalized(day, m.psl)
+		e.r, e.stats = l.Normalized(day, m.nz)
 	})
 	return e.r, e.stats
 }
@@ -159,21 +124,20 @@ func (m *NormMemo) InvalidateList(name string) {
 // monthNorm caches one normalization result for providers that publish a
 // single snapshot for the whole month (Majestic, CrUX): every day's
 // Normalized call returns the same list, so the grouping work runs once
-// per distinct normalization source (PSL list or Normalizer) instead of
-// once per day. Safe for concurrent use.
+// per normalizer instead of once per day. Safe for concurrent use.
 type monthNorm struct {
 	mu    sync.Mutex
-	key   any // the *psl.List or *rank.Normalizer the cache was filled for
+	nz    *rank.Normalizer // the normalizer the cache was filled for
 	r     *rank.Ranking
 	stats rank.NormalizeStats
 }
 
-func (m *monthNorm) get(key any, compute func() (*rank.Ranking, rank.NormalizeStats)) (*rank.Ranking, rank.NormalizeStats) {
+func (m *monthNorm) get(nz *rank.Normalizer, compute func() (*rank.Ranking, rank.NormalizeStats)) (*rank.Ranking, rank.NormalizeStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.key != key {
+	if m.nz != nz {
 		m.r, m.stats = compute()
-		m.key = key
+		m.nz = nz
 	}
 	return m.r, m.stats
 }

@@ -24,7 +24,9 @@ type fixture struct {
 	tranco   *Tranco
 	trexa    *Trexa
 	crux     *Crux
-	days     int
+	// nz normalizes every list, as a study's artifact store does.
+	nz   *rank.Normalizer
+	days int
 }
 
 func buildFixture(t testing.TB, seed uint64, days int) *fixture {
@@ -39,6 +41,7 @@ func buildFixture(t testing.TB, seed uint64, days int) *fixture {
 		umbrella: NewUmbrella(w, l),
 		majestic: NewMajestic(w, g),
 		secrank:  NewSecrank(w, l),
+		nz:       rank.NewNormalizer(w.Interner(), l),
 		days:     days,
 	}
 	tel := chrome.NewTelemetry(w)
@@ -50,13 +53,13 @@ func buildFixture(t testing.TB, seed uint64, days int) *fixture {
 	e.AddSink(tel)
 	e.Run()
 
-	f.tranco = NewTranco(f.alexa, f.umbrella, f.majestic, l, nil)
-	f.trexa = NewTrexa(f.alexa, f.tranco, l)
+	f.tranco = NewTranco(f.alexa, f.umbrella, f.majestic, NewNormMemo(f.nz))
+	f.trexa = NewTrexa(f.alexa, f.tranco)
 	for d := 0; d < days; d++ {
 		f.tranco.ComputeDay(d)
 		f.trexa.ComputeDay(d)
 	}
-	f.crux = NewCrux(tel, 2, rank.ScaledMagnitudes(w.NumSites()))
+	f.crux = NewCrux(tel, 2)
 	return f
 }
 
@@ -72,7 +75,7 @@ func TestAllProvidersProduceLists(t *testing.T) {
 			if raw.Len() == 0 {
 				t.Fatalf("%s day %d: empty list", p.Name(), d)
 			}
-			norm, st := p.Normalized(d, psl.Default())
+			norm, st := p.Normalized(d, f.nz)
 			if norm.Len() == 0 {
 				t.Fatalf("%s day %d: empty normalized list", p.Name(), d)
 			}
@@ -100,10 +103,9 @@ func TestOnlyCruxIsBucketed(t *testing.T) {
 // deviate ~0%, Umbrella (FQDNs) and CrUX (origins) deviate heavily.
 func TestPSLDeviationShape(t *testing.T) {
 	f := buildFixture(t, 63, 2)
-	l := psl.Default()
 	dev := map[string]float64{}
 	for _, p := range f.all() {
-		_, st := p.Normalized(1, l)
+		_, st := p.Normalized(1, f.nz)
 		dev[p.Name()] = st.DeviationPct()
 	}
 	for _, name := range []string{"Alexa", "Majestic", "Secrank", "Tranco", "Trexa"} {
@@ -216,11 +218,10 @@ func TestSecrankIsChinaCentric(t *testing.T) {
 
 func TestTrancoAveragesItsInputs(t *testing.T) {
 	f := buildFixture(t, 71, 3)
-	l := psl.Default()
 	day := 2
 	n := 300
 	top := func(p List) []string {
-		norm, _ := p.Normalized(day, l)
+		norm, _ := p.Normalized(day, f.nz)
 		names := norm.Names()
 		if len(names) > n {
 			names = names[:n]
@@ -254,7 +255,7 @@ func TestTrexaInterleavesWithoutDuplicates(t *testing.T) {
 		seen[name] = true
 	}
 	// Trexa must contain everything from both inputs.
-	a, _ := f.alexa.Normalized(1, psl.Default())
+	a, _ := f.alexa.Normalized(1, f.nz)
 	for _, name := range a.Names() {
 		if !seen[name] {
 			t.Fatalf("alexa entry %q missing from trexa", name)
@@ -264,7 +265,7 @@ func TestTrexaInterleavesWithoutDuplicates(t *testing.T) {
 
 func TestTrexaWeightsTowardAlexa(t *testing.T) {
 	f := buildFixture(t, 73, 2)
-	a, _ := f.alexa.Normalized(1, psl.Default())
+	a, _ := f.alexa.Normalized(1, f.nz)
 	if a.Len() < 30 {
 		t.Skip("alexa list too small")
 	}

@@ -280,11 +280,6 @@ func (s *Secrank) Archive() []*rank.Ranking { return slices.Clip(s.lists) }
 func (s *Secrank) Raw(day int) *rank.Ranking { return s.lists[day] }
 
 // Normalized implements List.
-func (s *Secrank) Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalized(s.Raw(day), l)
-}
-
-// NormalizedIn implements the memoized normalization fast path.
-func (s *Secrank) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalizedIn(s.Raw(day), nz)
+func (s *Secrank) Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
+	return s.Raw(day).NormalizePSLIn(nz)
 }

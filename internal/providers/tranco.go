@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"toplists/internal/names"
-	"toplists/internal/psl"
 	"toplists/internal/rank"
 )
 
@@ -20,7 +19,6 @@ import (
 // still under-includes adult and gambling sites in Table 3.
 type Tranco struct {
 	inputs []List
-	psl    *psl.List
 
 	lists []*rank.Ranking
 	// memo caches per-(list, day) normalized inputs so consecutive Tranco
@@ -35,16 +33,11 @@ type Tranco struct {
 // DESIGN.md).
 const trancoWindow = 30
 
-// NewTranco builds a Tranco provider over its three input lists. memo is
-// the normalization cache to draw input snapshots through; nil builds a
-// private one.
-func NewTranco(alexa, umbrella, majestic List, l *psl.List, memo *NormMemo) *Tranco {
-	if memo == nil {
-		memo = NewNormMemo(l)
-	}
+// NewTranco builds a Tranco provider over its three input lists, drawing
+// their normalized snapshots through memo.
+func NewTranco(alexa, umbrella, majestic List, memo *NormMemo) *Tranco {
 	return &Tranco{
 		inputs: []List{alexa, umbrella, majestic},
-		psl:    l,
 		memo:   memo,
 	}
 }
@@ -86,13 +79,8 @@ func (t *Tranco) Archive() []*rank.Ranking { return slices.Clip(t.lists) }
 func (t *Tranco) Raw(day int) *rank.Ranking { return t.lists[day] }
 
 // Normalized implements List.
-func (t *Tranco) Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalized(t.Raw(day), l)
-}
-
-// NormalizedIn implements the memoized normalization fast path.
-func (t *Tranco) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalizedIn(t.Raw(day), nz)
+func (t *Tranco) Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
+	return t.Raw(day).NormalizePSLIn(nz)
 }
 
 // Trexa reconstructs the Trexa list [35]: an interleave of Tranco and Alexa
@@ -102,7 +90,6 @@ func (t *Tranco) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank
 type Trexa struct {
 	alexa  List
 	tranco *Tranco
-	psl    *psl.List
 
 	lists []*rank.Ranking
 }
@@ -113,8 +100,8 @@ const trexaAlexaWeight = 2
 
 // NewTrexa builds a Trexa provider. Normalized Alexa snapshots are drawn
 // through the Tranco amalgam's memo, which already holds them.
-func NewTrexa(alexa List, tranco *Tranco, l *psl.List) *Trexa {
-	return &Trexa{alexa: alexa, tranco: tranco, psl: l}
+func NewTrexa(alexa List, tranco *Tranco) *Trexa {
+	return &Trexa{alexa: alexa, tranco: tranco}
 }
 
 // Name implements List.
@@ -165,11 +152,6 @@ func (t *Trexa) Archive() []*rank.Ranking { return slices.Clip(t.lists) }
 func (t *Trexa) Raw(day int) *rank.Ranking { return t.lists[day] }
 
 // Normalized implements List.
-func (t *Trexa) Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalized(t.Raw(day), l)
-}
-
-// NormalizedIn implements the memoized normalization fast path.
-func (t *Trexa) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalizedIn(t.Raw(day), nz)
+func (t *Trexa) Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
+	return t.Raw(day).NormalizePSLIn(nz)
 }

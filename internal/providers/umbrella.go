@@ -317,11 +317,6 @@ func (u *Umbrella) Archive() []*rank.Ranking { return slices.Clip(u.lists) }
 func (u *Umbrella) Raw(day int) *rank.Ranking { return u.lists[day] }
 
 // Normalized implements List.
-func (u *Umbrella) Normalized(day int, l *psl.List) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalized(u.Raw(day), l)
-}
-
-// NormalizedIn implements the memoized normalization fast path.
-func (u *Umbrella) NormalizedIn(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
-	return domainNormalizedIn(u.Raw(day), nz)
+func (u *Umbrella) Normalized(day int, nz *rank.Normalizer) (*rank.Ranking, rank.NormalizeStats) {
+	return u.Raw(day).NormalizePSLIn(nz)
 }

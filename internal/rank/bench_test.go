@@ -19,8 +19,9 @@ func benchIDs(n int) (*names.Table, []names.ID) {
 }
 
 // BenchmarkRankingTopSet and BenchmarkRankingTopSetIDs measure a cold top-k
-// set build (the memo is per Ranking, so each iteration constructs a fresh
-// ranking; the construction cost is identical in both and cancels out).
+// set build (TopSetIDs memoizes per Ranking, so each iteration constructs a
+// fresh ranking; the construction cost is identical in both and cancels
+// out).
 func BenchmarkRankingTopSet(b *testing.B) {
 	tab, ids := benchIDs(20_000)
 	k := len(ids) / 2

@@ -1,6 +1,13 @@
 package rank
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"toplists/internal/names"
+	"toplists/internal/psl"
+)
 
 // FuzzScaledMagnitudes checks the bucketer construction over degenerate
 // universe sizes: the cutoffs must always be strictly increasing, at least
@@ -96,4 +103,54 @@ func TestBucketOfMonotone(t *testing.T) {
 	if last != BucketBeyond {
 		t.Fatalf("rank past the largest cutoff = %v, want BucketBeyond", last)
 	}
+}
+
+// FuzzNormalize checks the memoized normalization against its string
+// oracle over arbitrary name lists (newline-separated, duplicates dropped):
+// NormalizePSLIn over a fresh table must never panic and must return the
+// same names and NormalizeStats as NormalizePSL, cold and with a warm apex
+// cache.
+func FuzzNormalize(f *testing.F) {
+	for _, seed := range []string{
+		"com\nwww.google.com\napi.google.com\nexample.co.uk\ncdn.shop.example.de",
+		"",
+		".",
+		"..\n.com\ncom.\na..b.com",
+		"co.uk\nuk\nfoo.co.uk\nbar.foo.co.uk",
+		"WWW.Example.COM\nexample.com\n*.example.com",
+		"unlisted-tld\nx.unlisted-tld\ny.x.unlisted-tld",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		var list []string
+		seen := make(map[string]bool)
+		for _, name := range strings.Split(in, "\n") {
+			if !seen[name] {
+				seen[name] = true
+				list = append(list, name)
+			}
+		}
+		oracle, err := NewIn(names.NewTable(), list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := oracle.NormalizePSL(psl.Default())
+
+		tab := names.NewTable()
+		r, err := NewIn(tab, list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nz := NewNormalizer(tab, psl.Default())
+		for pass := 0; pass < 2; pass++ { // the second pass reads the warm apex cache
+			got, gotStats := r.NormalizePSLIn(nz)
+			if !slices.Equal(got.Names(), want.Names()) {
+				t.Fatalf("pass %d: NormalizePSLIn = %q, want %q", pass, got.Names(), want.Names())
+			}
+			if gotStats != wantStats {
+				t.Fatalf("pass %d: stats = %+v, want %+v", pass, gotStats, wantStats)
+			}
+		}
+	})
 }

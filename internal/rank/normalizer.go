@@ -43,9 +43,6 @@ func NewNormalizer(tab *names.Table, list *psl.List) *Normalizer {
 	return &Normalizer{tab: tab, list: list}
 }
 
-// PSL returns the bound public-suffix list.
-func (n *Normalizer) PSL() *psl.List { return n.list }
-
 // Table returns the bound interner table.
 func (n *Normalizer) Table() *names.Table { return n.tab }
 

@@ -5,11 +5,16 @@
 //
 // A Ranking is backed by dense interner IDs (see package names): rank
 // lookups, membership tests, and top-k sets operate on integers, and the
-// string form is materialized only at the I/O boundary (CSV, report
-// rendering, error messages). IDs never influence ordering — every sort and
-// tie-break is decided by scores and by the name strings (or their
-// precomputed hashes), so an ID-backed ranking renders byte-identically to
-// its string-backed ancestor.
+// string form is materialized only at the I/O boundary (report rendering,
+// the service's JSON reads, error messages). IDs never influence ordering —
+// every sort and tie-break is decided by scores and by the name strings (or
+// their precomputed hashes), so an ID-backed ranking renders
+// byte-identically to its string-backed ancestor.
+//
+// The string-keyed forms (NormalizePSL, FromScores, TopSet, Filter) are
+// the oracles the ID forms are tested against; a study evaluates through
+// the ID forms only. TopSet also serves readers outside a study, such as
+// the benchmark's in-process diff reads.
 package rank
 
 import (
@@ -21,11 +26,11 @@ import (
 	"toplists/internal/psl"
 )
 
-// sharedTab is the interner behind the string-only constructors (New,
-// MustNew, FromScores). Rankings inside a study are built against the
-// study world's table instead; the shared table exists so that
-// free-standing rankings (tests, examples) keep working
-// unchanged and still compare by ID among themselves.
+// sharedTab is the interner behind the table-less constructors (New,
+// MustNew, FromScores), which only tests use. Rankings inside a study are
+// built against the study world's table instead; free-standing rankings
+// share this one, so they compare by ID among themselves but never with a
+// study's.
 var sharedTab = names.NewTable()
 
 // Ranking is an ordered list of names, most popular first. Ranks are
@@ -46,11 +51,10 @@ type Ranking struct {
 	strOnce sync.Once
 	strs    []string
 
-	// topSets and topIDSets memoize TopSet/TopSetIDs results per k: the
-	// evaluation asks for the same few cuts (EvalK, SpearmanK) of
-	// long-lived rankings over and over across experiments.
+	// topIDSets memoizes TopSetIDs results per k: the evaluation asks for
+	// the same few cuts (EvalK, SpearmanK) of long-lived rankings over and
+	// over across experiments.
 	topMu     sync.Mutex
-	topSets   map[int]map[string]struct{}
 	topIDSets map[int]*names.Set
 }
 
@@ -151,7 +155,7 @@ func (r *Ranking) index() map[names.ID]int32 {
 
 // Table returns the interner table the ranking's IDs belong to. IDs from
 // rankings over different tables are unrelated; core's comparison helpers
-// check table identity before taking an ID fast path.
+// panic when handed rankings over two tables.
 func (r *Ranking) Table() *names.Table { return r.tab }
 
 // Len returns the number of ranked names.
@@ -223,23 +227,14 @@ func (r *Ranking) Top(k int) *Ranking {
 	return fromUniqueIDs(r.tab, r.ids[:k:k])
 }
 
-// TopSet returns the top-k names as a string set, memoized per k. Callers
-// must not modify the returned set. Hot paths use TopSetIDs instead.
+// TopSet returns the top-k names as a string set, built on each call.
+// Evaluation uses TopSetIDs.
 func (r *Ranking) TopSet(k int) map[string]struct{} {
 	k = r.clampK(k)
-	r.topMu.Lock()
-	defer r.topMu.Unlock()
-	if s, ok := r.topSets[k]; ok {
-		return s
-	}
 	s := make(map[string]struct{}, k)
 	for _, id := range r.ids[:k] {
 		s[r.tab.Lookup(id)] = struct{}{}
 	}
-	if r.topSets == nil {
-		r.topSets = make(map[int]map[string]struct{})
-	}
-	r.topSets[k] = s
 	return s
 }
 
